@@ -80,9 +80,9 @@ struct OmosWorld {
   // Pre-build all images so timed runs measure the warm path (the paper
   // generates fixed versions "at installation time", §4.1).
   void Warm();
-  // Fleet-wide prelink over /bin: solve the namespace-global layout once,
-  // record every meta in the prelink table, enable the subsystem. Warm
-  // PrelinkedExec then maps stamped images with zero per-exec relocations.
+  // Fleet-wide prelink over /bin: instantiate every meta once and arm
+  // repair. Warm PrelinkedExec then maps images whose layout stamp is
+  // current with zero per-exec relocations.
   void Prelink();
   InvocationCost RunPrelinked(const std::string& meta, std::vector<std::string> args);
   PageSharing SampleSharingPrelinked(const std::string& meta, std::vector<std::string> args);

@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
   // Prelink gates: a warm prelinked exec maps stamped images as-is — zero
   // per-exec relocation work (the link.relocations_at_map delta across one
   // run must be 0; the baseline rtld bumps it every exec) — and, paying
-  // only the prelink-table probe instead of the full namespace + cache
+  // only the layout-stamp compare instead of the full namespace + cache
   // lookup, never costs more than integrated exec.
   Counter* at_map = MetricsRegistry::Global().GetCounter("link.relocations_at_map");
   uint64_t map_before = at_map->value();

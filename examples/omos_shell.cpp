@@ -311,8 +311,9 @@ main:
     }
     if (args[0] == "placements") {
       // The namespace-global layout a fleet of clients shares: where every
-      // cached image lives, the stamp prelinked execs validate against, and
-      // any recorded placement conflicts awaiting a re-solve.
+      // cached image lives, the layout-generation stamp each placement
+      // carries (a prelinked exec hits while its image was linked at it),
+      // and any recorded placement conflicts awaiting a re-solve.
       OmosReply reply = introspect("placements", 0);
       std::fputs(reply.payload.c_str(), stdout);
       continue;

@@ -83,7 +83,7 @@ struct CachedImage {
   std::optional<SegmentImage> text_seg;
   // Frame-backed master copy of the initialized data segment, mapped CoW
   // into each client task (the paper's vm_map exec path). Absent when the
-  // image has no data or the server runs with eager_data_copy.
+  // image has no initialized data.
   std::optional<SegmentImage> data_seg;
   std::vector<LibDep> deps;
   std::vector<StubSlot> stub_slots;

@@ -560,6 +560,13 @@ void TraceWarmHitSampled(const std::string& norm) {
 Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
                                                    const Specialization& spec,
                                                    uint64_t* work_cycles) {
+  bool linked = false;
+  return Instantiate(path, spec, work_cycles, &linked);
+}
+
+Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
+                                                   const Specialization& spec,
+                                                   uint64_t* work_cycles, bool* linked) {
   std::string norm = OmosNamespace::Normalize(path);
   std::string key = MakeCacheKey(norm, spec.ToKeyString());
   // Idle-time optimizer: a hot default-spec image may have a reorder-built
@@ -598,6 +605,7 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
       }
     }
     auto built = BuildImage(path, spec, key, tracker);
+    *linked = built.ok();
     if (built.ok() && store_ != nullptr && StorableSpec(spec)) {
       // The lease keeps *built valid across the publish even if a racing
       // redefinition evicts the entry underneath us.
@@ -676,15 +684,18 @@ void OmosServer::NoteWarmHit(const std::string& key, const std::string& norm,
     }
     optimizer_->attempted.insert(key);
   }
-  // Queue on the background lane: the pool runs it only when no foreground
-  // request is pending — the paper's "during idle time". The job holds the
-  // shared state, not the server, so it degrades to a no-op if the server
-  // is gone by the time it runs.
+  // The idle lane is the paper's "during idle time".
+  SubmitIdleJob([key, norm](OmosServer& server) { server.RunOptimizeJob(key, norm); });
+}
+
+void OmosServer::SubmitIdleJob(std::function<void(OmosServer&)> job) {
+  // The job holds the shared state, not the server, so it degrades to a
+  // no-op if the server is gone by the time it runs.
   std::shared_ptr<OptimizerState> state = optimizer_;
-  ThreadPool::Global().SubmitBackground([state, key, norm] {
+  ThreadPool::Global().SubmitBackground([state, job = std::move(job)] {
     std::lock_guard<std::mutex> alive(state->job_mu);
     if (state->server != nullptr) {
-      state->server->RunOptimizeJob(key, norm);
+      job(*state->server);
     }
   });
 }
@@ -927,15 +938,12 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
 }
 
 Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
-  if (cached.image.text.empty() && (config_.eager_data_copy || cached.image.data.empty())) {
-    return OkResult();
-  }
   std::lock_guard<std::mutex> lock(kernel_mu_);  // phys-memory allocation
   if (!cached.image.text.empty()) {
     OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), cached.image.text));
     cached.text_seg = std::move(seg);
   }
-  if (!config_.eager_data_copy && !cached.image.data.empty()) {
+  if (!cached.image.data.empty()) {
     OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), cached.image.data));
     cached.data_seg = std::move(seg);
   }
@@ -1142,16 +1150,26 @@ Result<void> OmosServer::RestoreFromStore(ImageStore& store) {
 
 // ---- Exec paths -------------------------------------------------------------
 
+namespace {
+
+// Map a cached image into `task`: shared text and CoW data against the
+// cache's frame-backed masters, or a private copy when it has no text
+// master. The caller holds kernel_mu_.
+Result<void> MapCachedImage(Kernel& kernel, Task& task, const CachedImage& image) {
+  if (image.text_seg.has_value()) {
+    return MapImageWithSharedText(kernel, task, image.image, *image.text_seg,
+                                  image.data_seg ? &*image.data_seg : nullptr);
+  }
+  return MapLinkedImage(kernel, task, image.image, "");
+}
+
+}  // namespace
+
 Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) {
   TraceSpan trace("server.map_program", program.key);
   {
     std::lock_guard<std::mutex> lock(kernel_mu_);
-    if (program.text_seg.has_value()) {
-      OMOS_TRY_VOID(MapImageWithSharedText(*kernel_, task, program.image, *program.text_seg,
-                                           program.data_seg ? &*program.data_seg : nullptr));
-    } else {
-      OMOS_TRY_VOID(MapLinkedImage(*kernel_, task, program.image, ""));
-    }
+    OMOS_TRY_VOID(MapCachedImage(*kernel_, task, program));
   }
   TaskRuntime runtime;
   runtime.program_key = program.key;
@@ -1173,12 +1191,7 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
     OMOS_TRY(const CachedImage* lib, GetOrRebuild(dep.cache_key, &rebuild_work));
     std::lock_guard<std::mutex> lock(kernel_mu_);
     task.BillSys(rebuild_work);
-    if (lib->text_seg.has_value()) {
-      OMOS_TRY_VOID(MapImageWithSharedText(*kernel_, task, lib->image, *lib->text_seg,
-                                           lib->data_seg ? &*lib->data_seg : nullptr));
-    } else {
-      OMOS_TRY_VOID(MapLinkedImage(*kernel_, task, lib->image, ""));
-    }
+    OMOS_TRY_VOID(MapCachedImage(*kernel_, task, *lib));
   }
   for (const StubSlot& slot : program.stub_slots) {
     const ImageSymbol* sym = program.image.FindSymbol(slot.slot_symbol);
@@ -1253,15 +1266,9 @@ Result<uint64_t> OmosServer::BeginUpgrade(const std::string& path,
   }
   UpgradeStats().begun->Add();
   TraceInstant("upgrade.begin", norm);
-  // Link on the idle lane (the pool runs it only when no foreground request
-  // is pending) so running tasks never stall behind the new version's link.
-  std::shared_ptr<OptimizerState> state = optimizer_;
-  ThreadPool::Global().SubmitBackground([state, job] {
-    std::lock_guard<std::mutex> alive(state->job_mu);
-    if (state->server != nullptr) {
-      state->server->RunUpgradeLink(job);
-    }
-  });
+  // Link on the idle lane so running tasks never stall behind the new
+  // version's link.
+  SubmitIdleJob([job](OmosServer& server) { server.RunUpgradeLink(job); });
   return job->id;
 }
 
@@ -1540,12 +1547,7 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
       task.BillSys(kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup +
                    rebuild_work);
       std::lock_guard<std::mutex> lock(kernel_mu_);
-      if (new_impl->text_seg.has_value()) {
-        OMOS_TRY_VOID(MapImageWithSharedText(kernel, task, new_impl->image, *new_impl->text_seg,
-                                             new_impl->data_seg ? &*new_impl->data_seg : nullptr));
-      } else {
-        OMOS_TRY_VOID(MapLinkedImage(kernel, task, new_impl->image, ""));
-      }
+      OMOS_TRY_VOID(MapCachedImage(kernel, task, *new_impl));
     }
     for (const DataCarry& carry : map.data_carries()) {
       std::vector<uint8_t> bytes(carry.size);
@@ -1565,12 +1567,7 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
     auto stubs = GetOrRebuild(job->degrade_key, &rebuild_work);
     if (stubs.ok()) {
       std::lock_guard<std::mutex> lock(kernel_mu_);
-      if ((*stubs)->text_seg.has_value()) {
-        OMOS_TRY_VOID(MapImageWithSharedText(kernel, task, (*stubs)->image, *(*stubs)->text_seg,
-                                             (*stubs)->data_seg ? &*(*stubs)->data_seg : nullptr));
-      } else {
-        OMOS_TRY_VOID(MapLinkedImage(kernel, task, (*stubs)->image, ""));
-      }
+      OMOS_TRY_VOID(MapCachedImage(kernel, task, **stubs));
     }
   }
   // Point of no return: apply the planned rewrites. All writes hit this
@@ -1662,14 +1659,7 @@ void OmosServer::ScheduleUpgradeReclaim(const std::shared_ptr<UpgradeJob>& job) 
     }
     job->phase = UpgradePhase::kReclaiming;
   }
-  std::shared_ptr<OptimizerState> state = optimizer_;
-  std::shared_ptr<UpgradeJob> claimed = job;
-  ThreadPool::Global().SubmitBackground([state, claimed] {
-    std::lock_guard<std::mutex> alive(state->job_mu);
-    if (state->server != nullptr) {
-      state->server->RunUpgradeReclaim(claimed);
-    }
-  });
+  SubmitIdleJob([job](OmosServer& server) { server.RunUpgradeReclaim(job); });
 }
 
 void OmosServer::RunUpgradeReclaim(std::shared_ptr<UpgradeJob> job) {
@@ -1816,61 +1806,73 @@ OmosServer::UpgradeStatus OmosServer::DrainUpgrade() {
   return UpgradeStatusNow();
 }
 
-Result<TaskId> OmosServer::BootstrapExec(const std::string& path, std::vector<std::string> args,
-                                         const Specialization& spec) {
-  TraceSpan trace("server.exec_bootstrap", path);
-  TaskId task_id;
+Result<TaskId> OmosServer::ExecInNewTask(std::string name, const std::vector<std::string>& args,
+                                         const std::function<Result<uint32_t>(Task&)>& load) {
   Task* task;
   {
     std::lock_guard<std::mutex> lock(kernel_mu_);
-    task = &kernel_->CreateTask(StrCat("omos-boot:", path));
-    task_id = task->id();
-    const CostModel& costs = kernel_->costs();
-    // Load and run the tiny bootstrap loader program (#! /bin/omos).
-    task->BillSys(costs.file_open + costs.header_parse + costs.file_read_page);
-    task->BillUser(config_.bootstrap_user_cycles);
+    task = &kernel_->CreateTask(std::move(name));
   }
-  Channel channel = MakeChannel();
-  OmosRequest request;
-  request.op = OmosOp::kInstantiate;
-  request.path = path;
-  request.specialization = spec.ToKeyString();
-  request.task_handle = task_id;
-  OMOS_TRY(OmosReply reply, channel.Call(request, task));
-  if (!reply.ok) {
-    return Err(ErrorCode::kNotFound, reply.error);
+  TaskId id = task->id();
+  Result<void> started = [&]() -> Result<void> {
+    OMOS_TRY(uint32_t entry, load(*task));
+    std::lock_guard<std::mutex> lock(kernel_mu_);
+    return StartTask(*kernel_, *task, entry, args);
+  }();
+  if (!started.ok()) {
+    // The one cleanup point: drop runtime state, then the task and every
+    // frame its partial mappings hold.
+    ReleaseTask(id);
+    std::lock_guard<std::mutex> lock(kernel_mu_);
+    kernel_->DestroyTask(id);
+    return started.error();
   }
-  std::lock_guard<std::mutex> lock(kernel_mu_);
-  OMOS_TRY_VOID(StartTask(*kernel_, *task, reply.entry, args));
-  return task_id;
+  return id;
+}
+
+Result<TaskId> OmosServer::BootstrapExec(const std::string& path, std::vector<std::string> args,
+                                         const Specialization& spec) {
+  TraceSpan trace("server.exec_bootstrap", path);
+  return ExecInNewTask(StrCat("omos-boot:", path), args, [&](Task& task) -> Result<uint32_t> {
+    {
+      std::lock_guard<std::mutex> lock(kernel_mu_);
+      const CostModel& costs = kernel_->costs();
+      // Load and run the tiny bootstrap loader program (#! /bin/omos).
+      task.BillSys(costs.file_open + costs.header_parse + costs.file_read_page);
+      task.BillUser(config_.bootstrap_user_cycles);
+    }
+    Channel channel = MakeChannel();
+    OmosRequest request;
+    request.op = OmosOp::kInstantiate;
+    request.path = path;
+    request.specialization = spec.ToKeyString();
+    request.task_handle = task.id();
+    OMOS_TRY(OmosReply reply, channel.Call(request, &task));
+    if (!reply.ok) {
+      return Err(ErrorCode::kNotFound, reply.error);
+    }
+    return reply.entry;
+  });
 }
 
 Result<TaskId> OmosServer::IntegratedExec(const std::string& path, std::vector<std::string> args,
                                           const Specialization& spec) {
   TraceSpan trace("server.exec_integrated", path);
-  Task* task;
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task = &kernel_->CreateTask(StrCat("omos-exec:", path));
-  }
-  ImageCache::ReadLease lease(cache_);  // pins *image across mapping
-  uint64_t work = 0;
-  OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work));
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task->BillSys(work + kernel_->costs().omos_cache_lookup);
-  }
-  OMOS_TRY(uint32_t entry, MapProgram(*task, *image));
-  std::lock_guard<std::mutex> lock(kernel_mu_);
-  OMOS_TRY_VOID(StartTask(*kernel_, *task, entry, args));
-  return task->id();
+  return ExecInNewTask(StrCat("omos-exec:", path), args, [&](Task& task) {
+    return LoadProgram(task, path, spec, ExecLookup::kCache);
+  });
 }
 
-// ---- Fleet-wide prelink -------------------------------------------------------
+Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<std::string> args) {
+  TraceSpan trace("server.exec_prelinked", path);
+  return ExecInNewTask(StrCat("omos-prelink:", path), args, [&](Task& task) {
+    return LoadProgram(task, path, {}, ExecLookup::kPrelink);
+  });
+}
 
 namespace {
 
-// Prelink-table counters; see docs/observability.md.
+// Prelinked-exec outcomes and repair work; see docs/observability.md.
 struct PrelinkMetrics {
   Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
   Counter* stale = MetricsRegistry::Global().GetCounter("prelink.stale");
@@ -1886,163 +1888,82 @@ PrelinkMetrics& PrelinkStats() {
 
 }  // namespace
 
-void OmosServer::EnablePrelink() {
-  prelink_enabled_.store(true, std::memory_order_relaxed);
+Result<uint32_t> OmosServer::LoadProgram(Task& task, const std::string& path,
+                                         const Specialization& spec, ExecLookup lookup) {
+  ImageCache::ReadLease lease(cache_);  // pins *image across MapProgram
+  uint64_t work = 0;
+  bool linked = false;
+  OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work, &linked));
+  uint64_t lookup_cost = kernel_->costs().omos_cache_lookup;
+  if (lookup == ExecLookup::kPrelink) {
+    // The stamp compare IS the validity check: the image's relocations were
+    // applied at its layout_generation; while the solver still reports that
+    // generation for the key, every address baked into the image is current
+    // and the map below performs zero relocations.
+    bool current;
+    {
+      std::lock_guard<std::mutex> lock(solver_mu_);
+      current = image->layout_generation != 0 &&
+                solver_.GenerationOf(image->key) == image->layout_generation;
+    }
+    if (!linked && current) {
+      PrelinkStats().hits->Add();
+      lookup_cost = kernel_->costs().prelink_lookup;
+    } else {
+      PrelinkStats().misses->Add();
+      if (!linked) {
+        // A cached image linked at a layout that has since moved: serve it
+        // like an integrated exec would, and let the idle lane re-link it
+        // at its new home.
+        PrelinkStats().stale->Add();
+        if (prelink_enabled()) {
+          SchedulePrelinkRepair();
+        }
+      }
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(kernel_mu_);
+    task.BillSys(work + lookup_cost);
+  }
+  return MapProgram(task, *image);
 }
 
-void OmosServer::RecordPrelinkEntry(const std::string& path, const std::string& cache_key) {
-  uint64_t stamp;
-  {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    stamp = solver_.GenerationOf(cache_key);
-  }
-  std::lock_guard<std::mutex> lock(prelink_mu_);
-  prelink_[OmosNamespace::Normalize(path)] = PrelinkEntry{cache_key, stamp};
+// ---- Fleet-wide prelink -------------------------------------------------------
+
+void OmosServer::EnablePrelink() {
+  prelink_enabled_.store(true, std::memory_order_relaxed);
 }
 
 Result<int> OmosServer::PrelinkNamespace(const std::string& prefix) {
   TraceSpan trace("server.prelink_namespace", prefix);
   std::string dir = OmosNamespace::Normalize(prefix);
-  int recorded = 0;
+  int instantiated = 0;
   for (const std::string& name : namespace_.List(dir)) {
     std::string meta_path = dir == "/" ? "/" + name : dir + "/" + name;
     auto entry = namespace_.Lookup(meta_path);
     if (!entry.ok() || (*entry)->kind == EntryKind::kFragment) {
-      continue;  // only executable meta-objects get prelink entries
+      continue;  // only executable meta-objects are prelinked
     }
     uint64_t scratch = 0;
-    ImageCache::ReadLease lease(cache_);  // pins *image across RecordPrelinkEntry
-    OMOS_TRY(const CachedImage* image, Instantiate(meta_path, {}, &scratch));
-    RecordPrelinkEntry(meta_path, image->key);
-    ++recorded;
+    OMOS_TRY_VOID(Instantiate(meta_path, {}, &scratch));
+    ++instantiated;
   }
   // Prelinking a namespace opts into conflict-driven repair: future
   // placement collisions re-solve + re-link in the background.
   EnablePrelink();
-  return recorded;
-}
-
-size_t OmosServer::PrelinkValidCount() const {
-  std::vector<PrelinkEntry> entries;
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    entries.reserve(prelink_.size());
-    for (const auto& [path, entry] : prelink_) {
-      entries.push_back(entry);
-    }
-  }
-  size_t valid = 0;
-  std::lock_guard<std::mutex> lock(solver_mu_);
-  for (const PrelinkEntry& entry : entries) {
-    if (entry.stamp != 0 && solver_.GenerationOf(entry.cache_key) == entry.stamp) {
-      ++valid;
-    }
-  }
-  return valid;
-}
-
-Result<TaskId> OmosServer::PrelinkedExec(const std::string& path, std::vector<std::string> args) {
-  TraceSpan trace("server.exec_prelinked", path);
-  std::string norm = OmosNamespace::Normalize(path);
-  PrelinkEntry entry;
-  bool have_entry = false;
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    auto it = prelink_.find(norm);
-    if (it != prelink_.end()) {
-      entry = it->second;
-      have_entry = true;
-    }
-  }
-  Task* task;
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task = &kernel_->CreateTask(StrCat("omos-prelink:", path));
-  }
-  ImageCache::ReadLease lease(cache_);  // pins *image across mapping
-  const CachedImage* image = nullptr;
-  if (have_entry) {
-    // The stamp compare IS the validity check: the image's relocations were
-    // applied at `entry.stamp`; while the solver still reports that
-    // generation for the key, every address baked into the image is current
-    // and the map below performs zero relocations.
-    bool stamp_valid;
-    {
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      stamp_valid = entry.stamp != 0 && solver_.GenerationOf(entry.cache_key) == entry.stamp;
-    }
-    if (stamp_valid) {
-      image = cache_.Get(entry.cache_key);
-      if (image == nullptr && store_ != nullptr) {
-        // Restart-warm path: the snapshot restored the entry (re-stamped at
-        // the restored layout generation) but the in-memory cache is cold.
-        // The attached store adopts the persisted image with zero
-        // relocations; when the adopted image carries the entry's stamp the
-        // exec is a prelink hit, not a rebuild.
-        uint64_t adopt_work = 0;
-        auto adopted = GetOrRebuild(entry.cache_key, &adopt_work);
-        if (adopted.ok() && (*adopted)->layout_generation == entry.stamp) {
-          image = *adopted;
-          std::lock_guard<std::mutex> lock(kernel_mu_);
-          task->BillSys(adopt_work);
-        }
-      }
-    }
-  }
-  if (image != nullptr) {
-    PrelinkStats().hits->Add();
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task->BillSys(kernel_->costs().prelink_lookup);
-  } else {
-    // No entry, a stale stamp, or the image fell out of the cache: pay the
-    // full lookup, then let the idle lane re-link everything stale so the
-    // next exec is fast again.
-    if (have_entry) {
-      PrelinkStats().stale->Add();
-    } else {
-      PrelinkStats().misses->Add();
-    }
-    uint64_t work = 0;
-    OMOS_TRY(image, Instantiate(norm, {}, &work));
-    {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      task->BillSys(work + kernel_->costs().omos_cache_lookup);
-    }
-    RecordPrelinkEntry(norm, image->key);
-    if (have_entry && prelink_enabled()) {
-      SchedulePrelinkRepair();
-    }
-  }
-  OMOS_TRY(uint32_t entry_addr, MapProgram(*task, *image));
-  std::lock_guard<std::mutex> lock(kernel_mu_);
-  OMOS_TRY_VOID(StartTask(*kernel_, *task, entry_addr, args));
-  return task->id();
+  return instantiated;
 }
 
 void OmosServer::SchedulePrelinkRepair() {
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    if (prelink_repair_queued_) {
-      return;  // one repair pass covers every conflict recorded before it runs
-    }
-    prelink_repair_queued_ = true;
+  if (prelink_repair_queued_.exchange(true)) {
+    return;  // one repair pass covers every conflict recorded before it runs
   }
-  // Same lifetime discipline as the optimizer jobs: the job holds the shared
-  // state, not the server, and no-ops if the server died first.
-  std::shared_ptr<OptimizerState> state = optimizer_;
-  ThreadPool::Global().SubmitBackground([state] {
-    std::lock_guard<std::mutex> alive(state->job_mu);
-    if (state->server != nullptr) {
-      state->server->RunPrelinkRepair();
-    }
-  });
+  SubmitIdleJob([](OmosServer& server) { server.RunPrelinkRepair(); });
 }
 
 void OmosServer::RunPrelinkRepair() {
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    prelink_repair_queued_ = false;  // conflicts after this point re-queue
-  }
+  prelink_repair_queued_.store(false);  // conflicts after this point re-queue
   TraceSpan trace("server.prelink_repair", "");
   PrelinkStats().repairs->Add();
   std::vector<std::string> moved;
@@ -2053,44 +1974,43 @@ void OmosServer::RunPrelinkRepair() {
   if (!moved.empty()) {
     // Addresses in cached client replies moved; stub caches must refresh.
     BumpNamespaceGeneration();
-    for (const std::string& key : moved) {
-      if (cache_.Contains(key)) {
-        cache_.Evict(key);
-      }
+  }
+  // Moved images re-link once here instead of on a client's critical path.
+  RelinkEvicted(EvictMovedImages(moved));
+}
+
+std::vector<std::string> OmosServer::EvictMovedImages(const std::vector<std::string>& moved) {
+  std::vector<std::string> evicted;
+  for (const std::string& key : moved) {
+    if (cache_.Contains(key)) {
+      cache_.Evict(key);
+      evicted.push_back(key);
     }
-    // Images that linked against a moved library baked in its old addresses.
-    ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid across Evict
-    for (const std::string& moved_key : moved) {
-      for (const std::string& key : cache_.Keys()) {
-        const CachedImage* image = cache_.Peek(key);
-        if (image == nullptr) {
-          continue;
-        }
-        for (const LibDep& dep : image->deps) {
-          if (dep.cache_key == moved_key) {
-            cache_.Evict(key);
-            break;
-          }
+  }
+  // Images that linked against a moved library baked in its old addresses.
+  ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid across Evict
+  for (const std::string& moved_key : moved) {
+    for (const std::string& key : cache_.Keys()) {
+      const CachedImage* image = cache_.Peek(key);
+      if (image == nullptr) {
+        continue;
+      }
+      for (const LibDep& dep : image->deps) {
+        if (dep.cache_key == moved_key) {
+          cache_.Evict(key);
+          evicted.push_back(key);
+          break;
         }
       }
     }
   }
-  // Re-instantiate every prelinked path at the solved layout and re-stamp
-  // its entry. Unmoved images are warm cache hits; moved ones re-link once
-  // here instead of on a client's critical path.
-  std::vector<std::string> paths;
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    paths.reserve(prelink_.size());
-    for (const auto& [path, entry] : prelink_) {
-      paths.push_back(path);
-    }
-  }
-  for (const std::string& path : paths) {
+  return evicted;
+}
+
+void OmosServer::RelinkEvicted(const std::vector<std::string>& keys) {
+  for (const std::string& key : keys) {
     uint64_t scratch = 0;
-    auto image = Instantiate(path, {}, &scratch);
-    if (image.ok()) {
-      RecordPrelinkEntry(path, (*image)->key);
+    if (GetOrRebuild(key, &scratch).ok()) {
       PrelinkStats().relinks->Add();
     }
   }
@@ -2159,12 +2079,7 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
     // library" (§4.2) — one IPC round trip plus the mapping work.
     task.BillSys(kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup);
     std::lock_guard<std::mutex> lock(kernel_mu_);
-    if (impl->text_seg.has_value()) {
-      OMOS_TRY_VOID(MapImageWithSharedText(kernel, task, impl->image, *impl->text_seg,
-                                           impl->data_seg ? &*impl->data_seg : nullptr));
-    } else {
-      OMOS_TRY_VOID(MapLinkedImage(kernel, task, impl->image, ""));
-    }
+    OMOS_TRY_VOID(MapCachedImage(kernel, task, *impl));
   }
   // "the first time a function is accessed, its name is looked up in the
   // function hash table and the value stored in an indirect branch table" —
@@ -2194,12 +2109,7 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
     }
     if (stubs_first_use) {
       std::lock_guard<std::mutex> lock(kernel_mu_);
-      if (stubs->text_seg.has_value()) {
-        OMOS_TRY_VOID(MapImageWithSharedText(kernel, task, stubs->image, *stubs->text_seg,
-                                             stubs->data_seg ? &*stubs->data_seg : nullptr));
-      } else {
-        OMOS_TRY_VOID(MapLinkedImage(kernel, task, stubs->image, ""));
-      }
+      OMOS_TRY_VOID(MapCachedImage(kernel, task, *stubs));
     }
     UpgradeStats().degraded_bindings->Add();
   }
@@ -2329,17 +2239,7 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     OMOS_TRY(LinkedImage image, LinkImage(module, layout, key));
     CachedImage ci;
     ci.image = std::move(image);
-    if (!ci.image.text.empty() || (!config_.eager_data_copy && !ci.image.data.empty())) {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      if (!ci.image.text.empty()) {
-        OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), ci.image.text));
-        ci.text_seg = std::move(seg);
-      }
-      if (!config_.eager_data_copy && !ci.image.data.empty()) {
-        OMOS_TRY(SegmentImage seg, SegmentImage::Create(kernel_->phys(), ci.image.data));
-        ci.data_seg = std::move(seg);
-      }
-    }
+    OMOS_TRY_VOID(MaterializeSegments(ci));
     ci.build_cost = tracker.work;
     ci.layout_generation = placement.generation;
     cached = cache_.Put(key, std::move(ci));
@@ -2347,12 +2247,7 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
   task.BillSys(tracker.work + kernel_->costs().omos_cache_lookup);
   {
     std::lock_guard<std::mutex> lock(kernel_mu_);
-    if (cached->text_seg.has_value()) {
-      OMOS_TRY_VOID(MapImageWithSharedText(*kernel_, task, cached->image, *cached->text_seg,
-                                           cached->data_seg ? &*cached->data_seg : nullptr));
-    } else {
-      OMOS_TRY_VOID(MapLinkedImage(*kernel_, task, cached->image, ""));
-    }
+    OMOS_TRY_VOID(MapCachedImage(*kernel_, task, *cached));
   }
   // Remember the mapped regions so the class can be dynamically unlinked.
   TaskRuntime::DynRegion region;
@@ -2432,7 +2327,7 @@ Result<void> OmosServer::HandleOmosUnloadSys(Kernel& kernel, Task& task) {
 //   order <count> <path>\n<routine-name>\n ...
 //   layoutgen <generation>
 //   place <text-base> <text-size> <data-base> <data-size> <object-key>
-//   prelink <path> <cache-key>
+//   prelink                       (present iff prelink repair is armed)
 //   check <fnv64-hex>
 
 namespace {
@@ -2569,13 +2464,10 @@ std::string OmosServer::Snapshot() const {
     out += StrCat("place ", record.placement.text_base, " ", record.text_size, " ",
                   record.placement.data_base, " ", record.data_size, " ", record.object, "\n");
   }
-  // After the place lines: Restore() re-stamps each prelink row against the
-  // adopted placements, so a restarted server execs warm immediately.
-  {
-    std::lock_guard<std::mutex> lock(prelink_mu_);
-    for (const auto& [path, entry] : prelink_) {
-      out += StrCat("prelink ", path, " ", entry.cache_key, "\n");
-    }
+  // Images carry their own layout stamps and the placements above restore
+  // them, so prelink state is only whether repair is armed.
+  if (prelink_enabled()) {
+    out += "prelink\n";
   }
   out += StrCat("check ", Hex64(Fnv1a(out)), "\n");
   return out;
@@ -2645,22 +2537,8 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
       std::lock_guard<std::mutex> lock(solver_mu_);
       OMOS_TRY_VOID(solver_.AdoptPlacement(record));
     } else if (tag == "prelink") {
-      OMOS_TRY(std::string_view path, PopField(line));
-      std::string cache_key(line);
-      if (cache_key.empty()) {
-        return Err(ErrorCode::kParseError, "snapshot: prelink row without cache key");
-      }
-      // Stamp against the placements adopted above (not the pre-crash
-      // stamp): the entry is exec-valid exactly while the restored solver
-      // still reports this generation for the key.
-      uint64_t stamp;
-      {
-        std::lock_guard<std::mutex> lock(solver_mu_);
-        stamp = solver_.GenerationOf(cache_key);
-      }
-      {
-        std::lock_guard<std::mutex> lock(prelink_mu_);
-        prelink_[std::string(path)] = PrelinkEntry{std::move(cache_key), stamp};
+      if (!line.empty()) {
+        return Err(ErrorCode::kParseError, "snapshot: prelink line takes no fields");
       }
       EnablePrelink();
     } else {
@@ -2673,7 +2551,7 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
 // ---- Administration -----------------------------------------------------------
 
 int OmosServer::OptimizePlacements() {
-  int evicted = 0;
+  std::vector<std::string> evicted;
   {
     std::lock_guard<std::mutex> admin_lock(admin_mu_);
     // Cached client replies carry segment addresses; a re-pack moves them.
@@ -2683,37 +2561,15 @@ int OmosServer::OptimizePlacements() {
       std::lock_guard<std::mutex> lock(solver_mu_);
       changed = solver_.OptimizePlacements();
     }
-    for (const std::string& key : changed) {
-      if (cache_.Contains(key)) {
-        cache_.Evict(key);
-        ++evicted;
-      }
-    }
-    // Any image that depended on a moved library is stale too.
-    ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid across Evict
-    for (const std::string& moved : changed) {
-      for (const std::string& key : cache_.Keys()) {
-        const CachedImage* image = cache_.Peek(key);
-        if (image == nullptr) {
-          continue;
-        }
-        for (const LibDep& dep : image->deps) {
-          if (dep.cache_key == moved) {
-            cache_.Evict(key);
-            ++evicted;
-            break;
-          }
-        }
-      }
-    }
+    evicted = EvictMovedImages(changed);
   }
-  // Outside admin_mu_ (the repair re-enters Instantiate): re-link prelinked
-  // images at the re-packed layout and re-stamp their table entries, so an
-  // administrative re-pack doesn't leave the whole prelink table stale.
+  // Outside admin_mu_ (the re-link re-enters Instantiate): re-link the
+  // evicted images at the re-packed layout, so an administrative re-pack
+  // doesn't leave prelinked execs paying a link on their critical path.
   if (prelink_enabled()) {
-    RunPrelinkRepair();
+    RelinkEvicted(evicted);
   }
-  return evicted;
+  return static_cast<int>(evicted.size());
 }
 
 Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
@@ -2963,19 +2819,9 @@ OmosReply OmosServer::HandleRequestImpl(const OmosRequest& request) {
         reply.error = "bad task handle";
         return reply;
       }
-      Specialization spec = Specialization::FromKeyString(request.specialization);
-      ImageCache::ReadLease lease(cache_);  // pins *image across MapProgram
-      uint64_t work = 0;
-      auto image = Instantiate(request.path, spec, &work);
-      if (!image.ok()) {
-        reply.error = image.error().ToString();
-        return reply;
-      }
-      {
-        std::lock_guard<std::mutex> lock(kernel_mu_);
-        task->BillSys(work + kernel_->costs().omos_cache_lookup);
-      }
-      auto entry = MapProgram(*task, **image);
+      auto entry = LoadProgram(*task, request.path,
+                               Specialization::FromKeyString(request.specialization),
+                               ExecLookup::kCache);
       if (!entry.ok()) {
         reply.error = entry.error().ToString();
         return reply;

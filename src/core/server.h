@@ -66,9 +66,6 @@ struct OmosServerConfig {
   uint64_t cache_capacity_bytes = 256ull << 20;
   // Extra user cycles modelling the bootstrap program's own execution.
   uint64_t bootstrap_user_cycles = 300;
-  // Copy initialized data eagerly at exec instead of mapping it CoW against
-  // the cached master (the pre-CoW behavior; kept for A/B benchmarking).
-  bool eager_data_copy = false;
 };
 
 // Concurrency model (PR 3): many worker threads may call Instantiate /
@@ -137,13 +134,13 @@ class OmosServer {
                                const Specialization& spec = {});
   Result<TaskId> IntegratedExec(const std::string& path, std::vector<std::string> args,
                                 const Specialization& spec = {});
-  // Fleet-wide prelink exec: the prelink table maps `path` straight to a
-  // cache key plus the layout generation its image was linked at. When the
-  // stamp still matches the solver, the image maps with zero per-exec
-  // relocation for `prelink_lookup` cycles (< omos_cache_lookup — no
-  // namespace traversal, no blueprint normalization). A stale stamp falls
-  // back to a full Instantiate and queues a background re-link that
-  // refreshes the entry through the idle lane. Requires PrelinkNamespace.
+  // Fleet-wide prelink exec: the warm path with the cached image's layout
+  // stamp checked. When this exec found the image already linked (a cache
+  // hit or a store adoption) and its layout_generation still matches the
+  // solver, the image maps with zero per-exec relocation and the lookup
+  // bills `prelink_lookup` (< omos_cache_lookup). Otherwise it bills like
+  // IntegratedExec; a cached image whose stamp is behind also queues the
+  // background re-link on the idle lane.
   Result<TaskId> PrelinkedExec(const std::string& path, std::vector<std::string> args);
   // `#! /bin/omos <meta-path>` interpreter-style exec from a SimFs file.
   Result<TaskId> ExecFile(const std::string& fs_path, std::vector<std::string> args,
@@ -234,20 +231,15 @@ class OmosServer {
   size_t DrainBackgroundWork();
 
   // ---- Fleet-wide prelink (§4.1 feedback loop) ------------------------------
-  // Turn on prelink maintenance: placement conflicts observed during builds
+  // Turn on prelink repair: placement conflicts observed during builds
   // trigger a recorded namespace re-solve plus a background re-link of every
-  // prelinked image whose home moved (idle lane), so the table converges
-  // back to 100% zero-relocation exec without blocking any foreground
-  // request.
+  // image whose home moved (idle lane), so prelinked execs converge back to
+  // 100% zero-relocation without blocking any foreground request.
   void EnablePrelink();
   bool prelink_enabled() const { return prelink_enabled_.load(std::memory_order_relaxed); }
-  // Instantiate every meta-object under `prefix` (default spec) and record
-  // each in the prelink table with the layout-generation stamp its image
-  // was linked at. Returns the number of entries (re)recorded.
+  // Instantiate every executable meta-object under `prefix` (default spec)
+  // and arm prelink repair. Returns the number of images instantiated.
   Result<int> PrelinkNamespace(const std::string& prefix);
-  // How many prelink entries are currently stamp-valid (their object still
-  // sits at the generation the image was linked at). Test/CLI helper.
-  size_t PrelinkValidCount() const;
 
   // ---- Crash / recovery -----------------------------------------------------
   // Serialize the server's durable state — the namespace (blueprints and
@@ -283,8 +275,8 @@ class OmosServer {
   // ---- Administration ---------------------------------------------------------
   // Feed recorded placement conflicts back into the constraint system
   // (§4.1, "this could be done fully automatically"): re-pack every known
-  // object and evict cached images whose addresses changed so they rebuild
-  // at their new homes. Returns the number of images invalidated.
+  // object and evict cached images whose addresses changed; they rebuild at
+  // their new homes (at once under prelink). Returns the number evicted.
   int OptimizePlacements();
 
   // Debugger support (§4.1: "we plan to enhance gdb to interface directly
@@ -384,6 +376,24 @@ class OmosServer {
   // used by monitor/reorder monolithic instantiations.
   Result<Module> BuildMonolithicModule(const std::string& path, BuildTracker& tracker);
 
+  // Instantiate that also reports whether this call linked the image
+  // (false for a cache hit, a single-flight follower or a store adoption).
+  Result<const CachedImage*> Instantiate(const std::string& path, const Specialization& spec,
+                                         uint64_t* work_cycles, bool* linked);
+
+  // How an exec bills its image lookup: always omos_cache_lookup, or
+  // prelink_lookup on a stamp-current hit (see PrelinkedExec).
+  enum class ExecLookup { kCache, kPrelink };
+  // The one exec body: lease → Instantiate → bill work + lookup →
+  // MapProgram into `task`. Returns the entry address.
+  Result<uint32_t> LoadProgram(Task& task, const std::string& path, const Specialization& spec,
+                               ExecLookup lookup);
+  // Create a task named `name`, let `load` map a program into it, and start
+  // it with `args`. Any failure releases and destroys the task, so a failed
+  // exec leaves no task and no frames behind.
+  Result<TaskId> ExecInNewTask(std::string name, const std::vector<std::string>& args,
+                               const std::function<Result<uint32_t>(Task&)>& load);
+
   Result<const CachedImage*> BuildImage(const std::string& path, const Specialization& spec,
                                         const std::string& key, BuildTracker& tracker);
 
@@ -422,6 +432,11 @@ class OmosServer {
   // Evict cached images built from `path` (directly or via blueprint
   // references and library dependencies) and release their placements.
   void InvalidateImagesOf(std::string_view path);
+  // Evict the cached images of `moved` placements and of every image linked
+  // against one of them (placements are kept). Returns the evicted keys.
+  std::vector<std::string> EvictMovedImages(const std::vector<std::string>& moved);
+  // Re-link `keys` at the current layout, counting prelink.relinks.
+  void RelinkEvicted(const std::vector<std::string>& keys);
 
   Result<void> HandleDload(Kernel& kernel, Task& task);
   Result<void> HandleMonLog(Kernel& kernel, Task& task);
@@ -499,24 +514,15 @@ class OmosServer {
                              std::string* degrade_key) const;
   void ScheduleUpgradeReclaim(const std::shared_ptr<UpgradeJob>& job);
 
-  // One prelink-table row: the cache key `path` resolves to, plus the
-  // layout generation the cached image's relocations were applied at. The
-  // entry is exec-valid while the solver still reports `stamp` for the key.
-  struct PrelinkEntry {
-    std::string cache_key;
-    uint64_t stamp = 0;
-  };
-
-  // Record/refresh `path`'s prelink entry from the current cache + solver
-  // state. Called after a successful Instantiate of a prelinked path.
-  void RecordPrelinkEntry(const std::string& path, const std::string& cache_key);
-  // Queue the conflict-repair job on the idle lane (at most one in flight):
-  // SolveNamespace under solver_mu_, evict moved images + dependents, then
-  // re-instantiate every prelinked path so its entry is stamp-valid again.
+  // Queue the conflict-repair job on the idle lane (at most one in flight).
   void SchedulePrelinkRepair();
-  // Body of the repair job; also the synchronous core of OptimizePlacements'
-  // prelink refresh.
+  // Body of the repair job: SolveNamespace under solver_mu_, then evict the
+  // moved images + dependents and re-link them at the solved layout.
   void RunPrelinkRepair();
+
+  // Queue `job` on the shared pool's idle lane: it runs only when no
+  // foreground request is waiting, and is skipped if the server is gone.
+  void SubmitIdleJob(std::function<void(OmosServer&)> job);
 
   // Warm-hit bookkeeping for `key` (path `norm`, default spec only); queues
   // an optimization job at the hot threshold.
@@ -561,12 +567,7 @@ class OmosServer {
   std::shared_ptr<UpgradeJob> upgrade_job_;  // guarded by upgrade_mu_
   uint64_t upgrade_counter_ = 0;             // guarded by upgrade_mu_
 
-  // Prelink table: path -> entry. prelink_mu_ is a LEAF lock — acquired on
-  // its own, never while holding (or before taking) any lock above; the
-  // exec path reads the entry, drops the lock, then consults the solver.
-  mutable std::mutex prelink_mu_;
-  std::map<std::string, PrelinkEntry> prelink_;         // guarded by prelink_mu_
-  bool prelink_repair_queued_ = false;                  // guarded by prelink_mu_
+  std::atomic<bool> prelink_repair_queued_{false};
   std::atomic<bool> prelink_enabled_{false};
 
   // See namespace_generation(); starts at 1 so "0" is always stale.

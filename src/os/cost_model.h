@@ -85,9 +85,10 @@ struct CostModel {
   uint64_t ring_slot = 40;
   // Server-side work for a cache hit: namespace traversal + cache lookup.
   uint64_t omos_cache_lookup = 700;
-  // Prelinked-exec fast path: one hash probe of the prelink table plus a
-  // layout-generation stamp compare. No namespace traversal, no blueprint
-  // normalization, no checksum walk — which is why it undercuts
+  // Prelinked-exec fast path: the cached image is already bound and
+  // relocated at the current layout, so the exec pays only a compare of its
+  // layout-generation stamp against the solver's — no namespace traversal,
+  // no blueprint normalization, no checksum walk. That is why it undercuts
   // omos_cache_lookup and lets warm prelinked exec beat integrated exec.
   uint64_t prelink_lookup = 150;
 };

@@ -279,7 +279,7 @@ TEST(Constraints, SolveNamespaceMovesSpilledObjectToWantedBase) {
   EXPECT_EQ(home->text_base, 0x02000000u);
   EXPECT_NE(home->text_base, spilled.text_base);
   // The move advanced the layout generation and restamped the mover, so
-  // prelink entries against the old layout read as stale.
+  // images linked at the old layout read as stale.
   EXPECT_EQ(solver.layout_generation(), before + 1);
   EXPECT_EQ(solver.GenerationOf("tenant"), before + 1);
   EXPECT_TRUE(solver.conflicts().empty());

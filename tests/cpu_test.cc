@@ -16,6 +16,12 @@ struct AluCase {
   int32_t expected;
 };
 
+// Without this gtest prints the raw struct bytes, pointers included, so the
+// discovered test names would change from one build to the next.
+void PrintTo(const AluCase& c, std::ostream* os) {
+  *os << c.mnemonic << "(" << c.lhs << "," << c.rhs << ")=" << c.expected;
+}
+
 class AluSemantics : public ::testing::TestWithParam<AluCase> {};
 
 TEST_P(AluSemantics, MatchesReference) {
@@ -47,6 +53,10 @@ struct BranchCase {
   int32_t rhs;
   bool taken;
 };
+
+void PrintTo(const BranchCase& c, std::ostream* os) {
+  *os << c.mnemonic << "(" << c.lhs << "," << c.rhs << ")_" << (c.taken ? "taken" : "not_taken");
+}
 
 class BranchSemantics : public ::testing::TestWithParam<BranchCase> {};
 

@@ -2,6 +2,8 @@
 // (kSysOmosLoad/kSysOmosUnload), the initializers operator, override
 // blueprints, cache eviction recovery, constraint conflicts between
 // libraries, and IPC-driven administration.
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "src/core/server.h"
@@ -752,7 +754,6 @@ TEST_F(ServerFeatures, PrelinkedExecHitIsCheaperThanIntegrated) {
   ASSERT_OK_AND_ASSIGN(int prelinked, server_->PrelinkNamespace("/bin"));
   EXPECT_EQ(prelinked, 1);
   EXPECT_TRUE(server_->prelink_enabled());
-  EXPECT_EQ(server_->PrelinkValidCount(), 1u);
 
   // Warm integrated exec: pays the cache-lookup round trip.
   ASSERT_OK_AND_ASSIGN(TaskId warm, server_->IntegratedExec("/bin/tool", {"tool"}));
@@ -766,8 +767,8 @@ TEST_F(ServerFeatures, PrelinkedExecHitIsCheaperThanIntegrated) {
   ASSERT_OK_AND_ASSIGN(RunOutcome fast_out, Run(fast));
   EXPECT_EQ(fast_out.exit_code, 7);
   EXPECT_EQ(hits->value(), hits_before + 1);
-  // The stamp-valid hit bills only the prelink-table lookup, strictly less
-  // than the integrated path's omos_cache_lookup.
+  // The stamp-valid hit bills only prelink_lookup, strictly less than the
+  // integrated path's omos_cache_lookup.
   EXPECT_LT(kernel_.FindTask(fast)->sys_cycles(), integrated_sys);
 }
 
@@ -780,13 +781,14 @@ TEST_F(ServerFeatures, PrelinkedExecMissFallsBackAndRecordsEntry) {
   Counter* misses = MetricsRegistry::Global().GetCounter("prelink.misses");
   Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
   uint64_t misses_before = misses->value();
-  // No PrelinkNamespace ran: the first exec misses the table, falls back to
-  // a full Instantiate, and records an entry on the way out.
+  // No PrelinkNamespace ran: the first exec links the image itself, so it
+  // counts a miss and bills like an integrated exec.
   ASSERT_OK_AND_ASSIGN(TaskId first, server_->PrelinkedExec("/bin/tool", {"tool"}));
   ASSERT_OK_AND_ASSIGN(RunOutcome first_out, Run(first));
   EXPECT_EQ(first_out.exit_code, 3);
   EXPECT_EQ(misses->value(), misses_before + 1);
 
+  // The second finds the image cached at a current stamp: a hit.
   uint64_t hits_before = hits->value();
   ASSERT_OK_AND_ASSIGN(TaskId second, server_->PrelinkedExec("/bin/tool", {"tool"}));
   ASSERT_OK_AND_ASSIGN(RunOutcome second_out, Run(second));
@@ -804,22 +806,22 @@ TEST_F(ServerFeatures, PrelinkStaleAfterFragmentRedefineRecovers) {
   ASSERT_OK_AND_ASSIGN(RunOutcome warm_out, Run(warm));
   EXPECT_EQ(warm_out.exit_code, 10);
 
-  // Redefining the fragment invalidates the cached image behind the prelink
-  // entry: the next prelinked exec must NOT serve the stale version.
+  // Redefining the fragment evicts the cached image: the next prelinked
+  // exec must NOT serve the stale version. It links the new one itself, so
+  // it counts a miss.
   ASSERT_OK_AND_ASSIGN(ObjectFile v2,
                        Assemble(".text\n.global main\nmain:\n  movi r0, 20\n  ret\n", "f.o"));
   ASSERT_OK(server_->AddFragment("/obj/f.o", std::move(v2)));
-  Counter* stale = MetricsRegistry::Global().GetCounter("prelink.stale");
-  uint64_t stale_before = stale->value();
+  Counter* misses = MetricsRegistry::Global().GetCounter("prelink.misses");
+  uint64_t misses_before = misses->value();
   ASSERT_OK_AND_ASSIGN(TaskId rebuilt, server_->PrelinkedExec("/bin/frag", {"frag"}));
   ASSERT_OK_AND_ASSIGN(RunOutcome rebuilt_out, Run(rebuilt));
   EXPECT_EQ(rebuilt_out.exit_code, 20);
-  EXPECT_EQ(stale->value(), stale_before + 1);
+  EXPECT_EQ(misses->value(), misses_before + 1);
 
-  // The fallback re-recorded the entry and queued a background repair; after
-  // the idle lane drains, the table is fully stamp-valid and hits again.
+  // The rebuilt image carries a current stamp: after the idle lane drains,
+  // the next exec hits again.
   server_->DrainBackgroundWork();
-  EXPECT_EQ(server_->PrelinkValidCount(), 1u);
   Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
   uint64_t hits_before = hits->value();
   ASSERT_OK_AND_ASSIGN(TaskId again, server_->PrelinkedExec("/bin/frag", {"frag"}));
@@ -858,6 +860,7 @@ main:
   ASSERT_OK(server_->PrelinkNamespace("/bin"));
 
   Counter* repairs = MetricsRegistry::Global().GetCounter("prelink.repairs");
+  Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
   uint64_t repairs_before = repairs->value();
   for (int round = 0; round < 3; ++round) {
     // Each rival hints the exact text base the prelinked program's library
@@ -875,24 +878,133 @@ main:
     ASSERT_OK(server_->Instantiate(lib_path, spec, nullptr));
 
     server_->DrainBackgroundWork();
-    EXPECT_EQ(server_->PrelinkValidCount(), 1u) << "round " << round;
+    uint64_t hits_before = hits->value();
     ASSERT_OK_AND_ASSIGN(TaskId id, server_->PrelinkedExec("/bin/tool", {"tool"}));
     ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
     EXPECT_EQ(out.exit_code, 42) << "round " << round;
+    EXPECT_EQ(hits->value(), hits_before + 1) << "round " << round;
   }
   EXPECT_GE(repairs->value(), repairs_before + 1);
 
   // The administrative re-pack moves live placements wholesale and then
-  // immediately re-links the prelink table against the new layout — stamps
-  // stay valid and the warm path stays relocation-free.
+  // immediately re-links the evicted images at the new layout — stamps stay
+  // current and the warm path stays relocation-free.
   (void)server_->OptimizePlacements();
-  EXPECT_EQ(server_->PrelinkValidCount(), 1u);
   Counter* at_map = MetricsRegistry::Global().GetCounter("link.relocations_at_map");
   uint64_t at_map_before = at_map->value();
+  uint64_t hits_before = hits->value();
   ASSERT_OK_AND_ASSIGN(TaskId final_id, server_->PrelinkedExec("/bin/tool", {"tool"}));
   ASSERT_OK_AND_ASSIGN(RunOutcome final_out, Run(final_id));
   EXPECT_EQ(final_out.exit_code, 42);
+  EXPECT_EQ(hits->value(), hits_before + 1);
   EXPECT_EQ(at_map->value(), at_map_before);  // zero relocations at map time
+}
+
+// Prelink state in the snapshot is one bare line: images carry their own
+// layout stamps and the place lines restore them.
+TEST_F(ServerFeatures, PrelinkSnapshotLineRoundTrips) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj,
+                       Assemble(".text\n.global main\nmain:\n  movi r0, 5\n  ret\n", "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/tool", "(merge /lib/crt0.o /obj/m.o)"));
+  EXPECT_EQ(server_->Snapshot().find("\nprelink"), std::string::npos);
+
+  ASSERT_OK(server_->PrelinkNamespace("/bin"));
+  std::string snapshot = server_->Snapshot();
+  size_t at = snapshot.find("\nprelink");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(snapshot.substr(at, 9), "\nprelink\n");
+  EXPECT_EQ(snapshot.find("\nprelink", at + 1), std::string::npos);  // one line, not one per path
+
+  Kernel kernel2;
+  OmosServer restored(kernel2);
+  ASSERT_OK(restored.Restore(snapshot));
+  EXPECT_TRUE(restored.prelink_enabled());
+  EXPECT_EQ(restored.Snapshot(), snapshot);
+  Counter* hits = MetricsRegistry::Global().GetCounter("prelink.hits");
+  ASSERT_OK_AND_ASSIGN(TaskId cold, restored.PrelinkedExec("/bin/tool", {"tool"}));
+  uint64_t hits_before = hits->value();
+  ASSERT_OK_AND_ASSIGN(TaskId warm, restored.PrelinkedExec("/bin/tool", {"tool"}));
+  EXPECT_EQ(hits->value(), hits_before + 1);
+  for (TaskId id : {cold, warm}) {
+    Task* task = kernel2.FindTask(id);
+    ASSERT_NE(task, nullptr);
+    ASSERT_OK(kernel2.RunTask(*task));
+    EXPECT_EQ(task->exit_code(), 5);
+  }
+}
+
+TEST_F(ServerFeatures, PrelinkSnapshotLineWithFieldsRejected) {
+  ASSERT_OK(server_->DefineMeta("/bin/thing", "(merge /lib/crt0.o)"));
+  std::string snapshot = server_->Snapshot();
+  // Swap the check line for a prelink line that carries fields and re-seal
+  // the body, so the parse — not the checksum — has to reject it.
+  std::string body = snapshot.substr(0, snapshot.rfind("check "));
+  body += "prelink /bin/thing /bin/thing\n";
+  uint64_t digest = Fnv1a(body);
+  std::string sealed = StrCat(body, "check ", Hex32(static_cast<uint32_t>(digest >> 32)),
+                              Hex32(static_cast<uint32_t>(digest)).substr(2), "\n");
+  Kernel kernel2;
+  OmosServer restored(kernel2);
+  auto result = restored.Restore(sealed);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), ErrorCode::kParseError);
+  EXPECT_FALSE(restored.prelink_enabled());
+}
+
+// A failed exec must not leave its task in the kernel table, nor the frames
+// its partial mappings took: an unknown path fails before anything maps,
+// oversized argv fails in StartTask after the program and stack mapped.
+TEST_F(ServerFeatures, FailedExecReleasesTaskAndFrames) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj,
+                       Assemble(".text\n.global main\nmain:\n  movi r0, 9\n  ret\n", "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/tool", "(merge /lib/crt0.o /obj/m.o)"));
+  ASSERT_OK(server_->PrelinkNamespace("/bin"));
+
+  using ExecFn = std::function<Result<TaskId>(const std::string&, std::vector<std::string>)>;
+  std::vector<std::pair<std::string, ExecFn>> schemes = {
+      {"bootstrap",
+       [&](const std::string& path, std::vector<std::string> args) {
+         return server_->BootstrapExec(path, std::move(args));
+       }},
+      {"integrated",
+       [&](const std::string& path, std::vector<std::string> args) {
+         return server_->IntegratedExec(path, std::move(args));
+       }},
+      {"prelinked",
+       [&](const std::string& path, std::vector<std::string> args) {
+         return server_->PrelinkedExec(path, std::move(args));
+       }},
+  };
+  // One good run per scheme first, so the baseline holds every cached master.
+  for (const auto& [name, exec] : schemes) {
+    ASSERT_OK_AND_ASSIGN(TaskId id, exec("/bin/tool", {"tool"}));
+    ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+    EXPECT_EQ(out.exit_code, 9) << name;
+    server_->ReleaseTask(id);
+    kernel_.DestroyTask(id);
+  }
+  uint32_t baseline = kernel_.phys().frames_in_use();
+
+  std::vector<std::pair<std::string, std::vector<std::string>>> failures = {
+      {"/bin/no-such-tool", {"no-such-tool"}},
+      {"/bin/tool", {"tool", std::string(2 * kStackSize, 'x')}},
+  };
+  for (const auto& [name, exec] : schemes) {
+    for (const auto& [path, args] : failures) {
+      TaskId probe = kernel_.CreateTask("probe").id();
+      kernel_.DestroyTask(probe);
+      EXPECT_FALSE(exec(path, args).ok()) << name << " " << path;
+      // The failed exec took the next id and gave it back.
+      TaskId failed = probe + 1;
+      EXPECT_EQ(kernel_.FindTask(failed), nullptr) << name << " " << path;
+      TaskId next = kernel_.CreateTask("probe").id();
+      EXPECT_EQ(next, failed + 1) << name << " " << path;
+      kernel_.DestroyTask(next);
+      EXPECT_EQ(kernel_.phys().frames_in_use(), baseline) << name << " " << path;
+    }
+  }
 }
 
 }  // namespace

@@ -223,6 +223,10 @@ struct ErrorCase {
   const char* expect_substring;
 };
 
+// Without this gtest prints the raw struct bytes, pointers included, so the
+// discovered test names would change from one build to the next.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class AssemblerErrors : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(AssemblerErrors, ReportsLineAndReason) {
