@@ -8,7 +8,8 @@ Inputs (all inside the directory given as argv[1], default ./bench-results):
   BENCH_UPGRADE.txt  bench_upgrade console output (latency windows across a
                      mid-run live library upgrade + PASS/FAIL gate lines)
   BENCH_INTERP.txt   bench_interp console output (legacy-vs-block-engine
-                     steady-state throughput rows + PASS/FAIL speedup gates)
+                     steady-state throughput rows, the shared-text row, the
+                     engine counter line + PASS/FAIL gates)
 
 Output: BENCH_RESULTS.json in the same directory, schema
 "omos-bench-results/1". Exits non-zero if any parsed gate line says FAIL,
@@ -47,6 +48,11 @@ INTERP_ROW = re.compile(
 INTERP_COUNTER_LINE = re.compile(
     r"^engine counters over the blocks runs: (?P<decoded>\d+) blocks decoded, "
     r"tlb (?P<tlb_hits>\d+) hits / (?P<tlb_misses>\d+) misses"
+    r"(?:, (?P<page_lookups>\d+) page lookups / (?P<dispatches>\d+) block dispatches)?"
+)
+INTERP_SHARED_LINE = re.compile(
+    r"^INFO: shared text \((?P<mix>\w+) mix\) 2 tasks on 2 threads (?P<two>\d+\.\d+) Mi/s "
+    r"vs 1 task on 1 thread (?P<one>\d+\.\d+) Mi/s: (?P<speedup>\d+\.\d+)x"
 )
 
 
@@ -130,7 +136,7 @@ def parse_upgrade(text):
 
 
 def parse_interp(text):
-    mixes, counters = {}, None
+    mixes, counters, shared = {}, None, None
     for line in text.splitlines():
         row = INTERP_ROW.match(line)
         if row:
@@ -147,7 +153,24 @@ def parse_interp(text):
                 "tlb_hits": int(c.group("tlb_hits")),
                 "tlb_misses": int(c.group("tlb_misses")),
             }
-    return {"mixes": mixes, "engine_counters": counters, "gates": parse_gates(text)}
+            if c.group("page_lookups") is not None:
+                counters["page_lookups"] = int(c.group("page_lookups"))
+                counters["block_dispatches"] = int(c.group("dispatches"))
+            continue
+        t = INTERP_SHARED_LINE.match(line)
+        if t:
+            shared = {
+                "mix": t.group("mix"),
+                "one_task_insns_per_s": float(t.group("one")) * 1e6,
+                "two_tasks_insns_per_s": float(t.group("two")) * 1e6,
+                "speedup": float(t.group("speedup")),
+            }
+    return {
+        "mixes": mixes,
+        "engine_counters": counters,
+        "shared_text": shared,
+        "gates": parse_gates(text),
+    }
 
 
 def main():

@@ -24,10 +24,11 @@ namespace omos {
 
 namespace {
 
-// Wholesale-eviction threshold for the shared block cache. The workloads
-// decode a few hundred blocks; this only guards against pathological text
-// churn (e.g. a stress test remapping thousands of pages).
+// Wholesale-eviction thresholds for the shared page cache (4 KiB of slots a
+// page). The workloads decode a few hundred blocks on a few dozen pages;
+// these only guard against pathological text churn.
 constexpr size_t kMaxCachedBlocks = 1u << 16;
+constexpr size_t kMaxCachedPages = 1u << 11;
 
 constexpr uint32_t kInvalidPage = 0xFFFFFFFFu;
 
@@ -60,6 +61,7 @@ EngineMetrics& GetEngineMetrics() {
       MetricsRegistry::Global().GetCounter("engine.invalidations"),
       MetricsRegistry::Global().GetCounter("engine.tlb_hits"),
       MetricsRegistry::Global().GetCounter("engine.tlb_misses"),
+      MetricsRegistry::Global().GetCounter("engine.page_lookups"),
   };
   return metrics;
 }
@@ -81,9 +83,23 @@ struct ExecEngine::Block {
   std::vector<DecodedInsn> insns;
 };
 
+// The decoded blocks of one physical (frame, generation): one slot per
+// instruction offset, each published once by compare-and-swap. The page owns
+// its blocks; tasks hold the page through their instruction TLB.
+struct ExecEngine::DecodedPage {
+  explicit DecodedPage(uint64_t created) : epoch(created) {}
+  ~DecodedPage() {
+    for (std::atomic<const Block*>& slot : slots) {
+      delete slot.load(std::memory_order_relaxed);
+    }
+  }
+  const uint64_t epoch;  // engine epoch at creation; a clear retires the page
+  std::array<std::atomic<const Block*>, kPageSize / kInsnSize> slots{};
+};
+
 struct ExecEngine::TaskCache {
-  static constexpr uint32_t kTlbEntries = 32;  // direct-mapped by virtual page
-  static constexpr uint32_t kL1Entries = 64;   // direct-mapped by pc / kInsnSize
+  static constexpr uint32_t kTlbEntries = 32;    // data TLB, direct-mapped by virtual page
+  static constexpr uint32_t kItlbBits = 8;  // instruction TLB: 256 entries, indexed by a page hash
 
   struct TlbEntry {
     uint32_t page = kInvalidPage;  // virtual page number (addr / kPageSize)
@@ -91,33 +107,34 @@ struct ExecEngine::TaskCache {
     uint8_t prot = 0;
     bool cow = false;  // writes must fault even though prot allows them
   };
-  struct L1Entry {
-    uint32_t pc = 0;
-    std::shared_ptr<const Block> block;  // also keeps the block alive vs. eviction
+  struct ItlbEntry {
+    uint32_t page = kInvalidPage;  // virtual page number
+    uint64_t flush = 0;            // valid only while equal to itlb_flush
+    const uint8_t* data = nullptr;  // frame bytes, for decoding
+    std::shared_ptr<DecodedPage> decoded;  // keeps its blocks alive vs. eviction
   };
+  // Fibonacci hash of the page number: plain low bits would alias text
+  // mapped a multiple of 1 MiB apart (program and libraries).
+  static uint32_t ItlbIndex(uint32_t page) { return (page * 0x9E3779B1u) >> (32 - kItlbBits); }
 
   std::array<TlbEntry, kTlbEntries> tlb{};
-  std::array<L1Entry, kL1Entries> l1{};
-  // TLB and L1 epochs are tracked separately: data accesses re-sync the TLB
-  // mid-block, but the L1 must only be flushed between blocks — an L1 slot
-  // holds the shared_ptr keeping the currently-executing block alive.
+  std::array<ItlbEntry, 1u << kItlbBits> itlb{};
+  // Data accesses re-sync the TLB mid-block; the instruction TLB is flushed
+  // (itlb_flush bumped, retiring every entry) only between blocks, as an
+  // entry holds the page keeping the executing block alive.
   uint64_t tlb_epoch = 0;
-  uint64_t l1_space_epoch = 0;
-  uint64_t l1_engine_epoch = 0;
+  uint64_t itlb_space_epoch = 0;
+  uint64_t itlb_engine_epoch = 0;
+  uint64_t itlb_flush = 1;
   // engine.* counts, batched per Run() call (Counter::Add is an atomic).
   uint64_t tlb_hits = 0;
   uint64_t tlb_misses = 0;
   uint64_t block_hits = 0;
+  uint64_t page_lookups = 0;
 
   void FlushTlb() {
     for (TlbEntry& e : tlb) {
       e.page = kInvalidPage;
-    }
-  }
-  void FlushL1() {
-    for (L1Entry& e : l1) {
-      e.pc = 0;
-      e.block.reset();
     }
   }
 };
@@ -143,132 +160,153 @@ void ExecEngine::DropTask(uint32_t task_id) {
 void ExecEngine::InvalidateAll(std::string_view reason) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    blocks_.clear();
+    ClearLocked();
   }
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  GetEngineMetrics().invalidations->Add(1);
   if (TraceEnabled()) {
     TraceInstant("engine.invalidate", reason);
   }
 }
 
+void ExecEngine::ClearLocked() {
+  pages_.clear();
+  cached_blocks_ = 0;
+  // Bumped under mu_, so a page whose creation epoch is current is in pages_.
+  epoch_.fetch_add(1, std::memory_order_acq_rel);
+  GetEngineMetrics().invalidations->Add(1);
+}
+
 size_t ExecEngine::CachedBlocks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return blocks_.size();
+  return cached_blocks_;
+}
+
+std::shared_ptr<ExecEngine::DecodedPage> ExecEngine::PageFor(FrameId frame) {
+  // Physical frame identity + reuse generation: two tasks mapping the same
+  // image frames share one page; a recycled frame's bumped generation
+  // retires its stale page.
+  uint64_t key = static_cast<uint64_t>(frame) << 32 | kernel_.phys().FrameGen(frame);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pages_.find(key);
+  if (it != pages_.end()) {
+    return it->second;
+  }
+  if (pages_.size() >= kMaxCachedPages) {
+    ClearLocked();
+  }
+  auto page = std::make_shared<DecodedPage>(epoch_.load(std::memory_order_relaxed));
+  pages_.insert_or_assign(key, page);
+  return page;
 }
 
 Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& st, uint32_t pc) {
   AddressSpace& space = task.space();
   uint64_t sepoch = space.map_epoch();
-  if (st.l1_space_epoch != sepoch) {
-    st.FlushL1();
-    st.l1_space_epoch = sepoch;
-  }
   uint64_t eepoch = epoch_.load(std::memory_order_acquire);
-  if (st.l1_engine_epoch != eepoch) {
-    st.FlushL1();
-    st.l1_engine_epoch = eepoch;
+  if (st.itlb_engine_epoch != eepoch) {
+    // A clear dropped the shared pages; let go of them too, so the page and
+    // block bounds also bound what tasks retain. Only between blocks, so no
+    // executing block is freed. (A map-epoch flush stays O(1).)
+    for (TaskCache::ItlbEntry& e : st.itlb) {
+      e.decoded.reset();
+    }
+  }
+  if (st.itlb_space_epoch != sepoch || st.itlb_engine_epoch != eepoch) {
+    ++st.itlb_flush;
+    st.itlb_space_epoch = sepoch;
+    st.itlb_engine_epoch = eepoch;
   }
   uint32_t offset = pc & kPageMask;
-  if (offset > kPageSize - kInsnSize) {
-    // The 8-byte fetch would cross a page; single-step it.
+  if (offset % kInsnSize != 0) {
+    // Misaligned: the 8-byte fetch may cross a page, and slots hold aligned
+    // instructions only; single-step it.
     return static_cast<const Block*>(nullptr);
   }
-  TaskCache::L1Entry& slot = st.l1[(pc / kInsnSize) % TaskCache::kL1Entries];
-  if (slot.block != nullptr && slot.pc == pc) {
-    ++st.block_hits;
-    return slot.block.get();
-  }
-  AddressSpace::PageLookup pl;
-  if (!space.LookupPage(pc, &pl) || !pl.present || (pl.prot & kProtExec) == 0) {
-    // Unmapped, non-executable, or demand-zero text: take the exact fetch
-    // CpuStep would issue so the fault is billed — and any fault-injection
-    // plan evaluated — exactly once, with the legacy error message.
-    uint8_t raw[kInsnSize];
-    OMOS_TRY_VOID(space.FetchBytes(pc, raw, kInsnSize));
-    // The fetch resolved a fault (and bumped the map epoch); re-probe.
-    st.FlushL1();
-    st.l1_space_epoch = space.map_epoch();
-    if (!space.LookupPage(pc, &pl) || !pl.present) {
+  uint32_t vpage = pc / kPageSize;
+  TaskCache::ItlbEntry& entry = st.itlb[TaskCache::ItlbIndex(vpage)];
+  if (entry.page != vpage || entry.flush != st.itlb_flush) {
+    AddressSpace::PageLookup pl;
+    if (!space.LookupPage(pc, &pl) || !pl.present || (pl.prot & kProtExec) == 0) {
+      // Unmapped, non-executable, or demand-zero text: take the exact fetch
+      // CpuStep would issue so the fault is billed — and any fault-injection
+      // plan evaluated — exactly once, with the legacy error message.
+      uint8_t raw[kInsnSize];
+      OMOS_TRY_VOID(space.FetchBytes(pc, raw, kInsnSize));
+      // The fetch resolved a fault (and bumped the map epoch); re-probe.
+      ++st.itlb_flush;
+      st.itlb_space_epoch = space.map_epoch();
+      if (!space.LookupPage(pc, &pl) || !pl.present) {
+        return static_cast<const Block*>(nullptr);
+      }
+    }
+    if ((pl.prot & kProtWrite) != 0) {
+      // Writable text can change under a cached block; never cache it.
       return static_cast<const Block*>(nullptr);
     }
+    ++st.page_lookups;
+    entry.page = vpage;
+    entry.flush = st.itlb_flush;
+    entry.data = pl.data;
+    entry.decoded = PageFor(pl.frame);
   }
-  if ((pl.prot & kProtWrite) != 0) {
-    // Writable text can change under a cached block; never cache it.
-    return static_cast<const Block*>(nullptr);
+  std::atomic<const Block*>& slot = entry.decoded->slots[offset / kInsnSize];
+  if (const Block* block = slot.load(std::memory_order_acquire)) {
+    ++st.block_hits;
+    return block;
   }
 
-  // Shared-cache key: physical frame identity + reuse generation + block
-  // offset. Two tasks mapping the same image frames share one decode; a
-  // recycled frame's bumped generation retires all of its stale keys.
-  // (gen is truncated to 23 bits — a frame would need 8M recycles while
-  // old keys linger to alias, and wholesale eviction resets sooner.)
-  uint32_t gen = kernel_.phys().FrameGen(pl.frame);
-  uint64_t key = (static_cast<uint64_t>(pl.frame) << 32) |
-                 ((static_cast<uint64_t>(gen) << 9 | (offset >> 3)) & 0xFFFFFFFFu);
-  std::shared_ptr<const Block> block;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = blocks_.find(key);
-    if (it != blocks_.end()) {
-      block = it->second;
+  TraceSpan span("engine.decode");
+  auto built = std::make_unique<Block>();
+  for (uint32_t off = offset; off + kInsnSize <= kPageSize; off += kInsnSize) {
+    Result<Instruction> insn = DecodeInsn(entry.data + off);
+    if (!insn.ok()) {
+      if (built->insns.empty()) {
+        // The faulting instruction is the block head: surface DecodeInsn's
+        // error exactly as CpuStep would.
+        return insn.error();
+      }
+      break;  // end the block before the undecodable instruction
+    }
+    built->insns.push_back(DecodedInsn{insn->op, insn->r1, insn->r2, insn->r3, insn->imm});
+    switch (insn->op) {
+      case Opcode::kBeq:
+      case Opcode::kBne:
+      case Opcode::kBlt:
+      case Opcode::kBge:
+      case Opcode::kBltu:
+      case Opcode::kBgeu:
+      case Opcode::kJmp:
+      case Opcode::kBr:
+      case Opcode::kJmpR:
+      case Opcode::kCall:
+      case Opcode::kCallPc:
+      case Opcode::kCallR:
+      case Opcode::kRet:
+      case Opcode::kSys:
+      case Opcode::kHalt:
+        off = kPageSize;  // control flow (or exit) ends the block
+        break;
+      default:
+        break;
     }
   }
-  if (block != nullptr) {
-    ++st.block_hits;
-  } else {
-    TraceSpan span("engine.decode");
-    auto built = std::make_shared<Block>();
-    const uint8_t* page_data = pl.data;
-    for (uint32_t off = offset; off + kInsnSize <= kPageSize; off += kInsnSize) {
-      Result<Instruction> insn = DecodeInsn(page_data + off);
-      if (!insn.ok()) {
-        if (built->insns.empty()) {
-          // The faulting instruction is the block head: surface DecodeInsn's
-          // error exactly as CpuStep would.
-          return insn.error();
-        }
-        break;  // end the block before the undecodable instruction
-      }
-      built->insns.push_back(DecodedInsn{insn->op, insn->r1, insn->r2, insn->r3, insn->imm});
-      switch (insn->op) {
-        case Opcode::kBeq:
-        case Opcode::kBne:
-        case Opcode::kBlt:
-        case Opcode::kBge:
-        case Opcode::kBltu:
-        case Opcode::kBgeu:
-        case Opcode::kJmp:
-        case Opcode::kBr:
-        case Opcode::kJmpR:
-        case Opcode::kCall:
-        case Opcode::kCallPc:
-        case Opcode::kCallR:
-        case Opcode::kRet:
-        case Opcode::kSys:
-        case Opcode::kHalt:
-          off = kPageSize;  // control flow (or exit) ends the block
-          break;
-        default:
-          break;
-      }
-    }
-    if (span.armed()) {
-      span.SetDetail(StrCat(Hex32(pc), " ", built->insns.size(), " insns"));
-    }
-    GetEngineMetrics().blocks_decoded->Add(1);
-    block = std::move(built);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (blocks_.size() >= kMaxCachedBlocks) {
-      blocks_.clear();
-      epoch_.fetch_add(1, std::memory_order_acq_rel);
-      GetEngineMetrics().invalidations->Add(1);
-    }
-    blocks_.insert_or_assign(key, block);
+  if (span.armed()) {
+    span.SetDetail(StrCat(Hex32(pc), " ", built->insns.size(), " insns"));
   }
-  slot.pc = pc;
-  slot.block = std::move(block);
-  return slot.block.get();
+  const Block* published = nullptr;
+  if (!slot.compare_exchange_strong(published, built.get(), std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    ++st.block_hits;  // another task published this block first; ours is freed
+    return published;
+  }
+  published = built.release();  // the page owns it now
+  GetEngineMetrics().blocks_decoded->Add(1);
+  std::lock_guard<std::mutex> lock(mu_);
+  // Count it only if no clear dropped the page since it was looked up.
+  if (entry.decoded->epoch == epoch_.load(std::memory_order_relaxed) &&
+      ++cached_blocks_ > kMaxCachedBlocks) {
+    ClearLocked();
+  }
+  return published;
 }
 
 Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& block,
@@ -618,7 +656,10 @@ Result<void> ExecEngine::Run(Task& task, uint64_t budget, uint64_t* executed) {
       if (st.block_hits != 0) {
         metrics.block_hits->Add(st.block_hits);
       }
-      st.tlb_hits = st.tlb_misses = st.block_hits = 0;
+      if (st.page_lookups != 0) {
+        metrics.page_lookups->Add(st.page_lookups);
+      }
+      st.tlb_hits = st.tlb_misses = st.block_hits = st.page_lookups = 0;
     }
   } flush{st, metrics};
 

@@ -9,20 +9,24 @@
 //
 // The engine keeps two cache levels:
 //
-//   - A per-kernel block cache (L2) of predecoded superblocks, keyed by
-//     *physical* identity: (frame id, frame generation, page offset). Frame
-//     identity is the natural analog of "(image fingerprint, page)" — two
-//     tasks that MapShared the same SegmentImage map the same frames and
-//     therefore share decoded blocks. The generation (PhysMemory::FrameGen)
-//     makes recycled frames self-invalidate: a freed frame's gen is bumped,
-//     so stale keys can never match new contents.
+//   - A per-kernel decoded-page cache (L2) keyed by *physical* identity,
+//     (frame id, frame generation): two tasks that MapShared the same
+//     SegmentImage map the same frames and so share one DecodedPage, and a
+//     recycled frame's bumped generation (PhysMemory::FrameGen) retires its
+//     stale page. A page holds one atomic block slot per instruction offset,
+//     filled once by compare-and-swap (a losing decoder frees its copy).
 //
-//   - A per-task direct-mapped block lookaside (L1) keyed by virtual pc,
-//     plus a small software TLB in front of data loads/stores. Both are
+//   - A per-task instruction TLB, indexed by a hash of the virtual page (low
+//     bits alone alias text mapped 1 MiB apart), holding each text page's
+//     frame bytes and a shared_ptr to its DecodedPage that keeps the running
+//     block alive across InvalidateAll; plus a small data TLB. Both are
 //     tagged with AddressSpace::map_epoch() and the engine's invalidation
-//     epoch, and self-flush on mismatch — map changes, CoW breaks and
-//     explicit invalidations (library redefinition, live-upgrade repoint)
-//     cost one compare per block entry, not a callback web.
+//     epoch and self-flush on mismatch, so map changes, CoW breaks and
+//     explicit invalidations cost one compare per block entry.
+//
+// A warm dispatch is one TLB probe plus one acquire load: no lock and no
+// refcount write, so tasks sharing text do not contend. The L2 map and its
+// mutex are consulted only on an instruction-TLB miss.
 //
 // A block is a run of instructions within one text page ending at the first
 // control-flow instruction (branch, jump, call, ret, sys, halt), the page
@@ -65,10 +69,11 @@ EngineMode DefaultEngineMode();
 // engine.* counters (stable registry pointers, looked up once).
 struct EngineMetrics {
   class Counter* blocks_decoded;  // engine.blocks_decoded
-  class Counter* block_hits;      // engine.block_hits (L1 + shared-cache hits)
+  class Counter* block_hits;      // engine.block_hits (dispatches of cached blocks)
   class Counter* invalidations;   // engine.invalidations
   class Counter* tlb_hits;        // engine.tlb_hits
   class Counter* tlb_misses;      // engine.tlb_misses (slow-path accesses)
+  class Counter* page_lookups;    // engine.page_lookups (instruction-TLB misses)
 };
 EngineMetrics& GetEngineMetrics();
 
@@ -89,12 +94,12 @@ class ExecEngine {
   // un-Faulted, like CpuStep: the caller owns task.Fault().
   Result<void> Run(Task& task, uint64_t budget, uint64_t* executed);
 
-  // Drop every cached block and bump the invalidation epoch so per-task L1
-  // caches self-flush. Called on library redefinition and live-upgrade
-  // repoint; `reason` labels the trace event.
+  // Drop every decoded page and bump the invalidation epoch so per-task
+  // instruction TLBs self-flush. Called on library redefinition and
+  // live-upgrade repoint; `reason` labels the trace event.
   void InvalidateAll(std::string_view reason);
 
-  // Forget a destroyed task's TLB/L1 state.
+  // Forget a destroyed task's TLB state.
   void DropTask(uint32_t task_id);
 
   // Introspection (tests).
@@ -104,24 +109,30 @@ class ExecEngine {
  private:
   struct DecodedInsn;
   struct Block;
+  struct DecodedPage;
   // Named TaskCache, not TaskState: the os layer already uses TaskState for
   // the run-state enum and these methods see both scopes.
   struct TaskCache;
 
   TaskCache& StateFor(const Task& task);
   // Find or decode the block starting at `pc`. Returns nullptr (ok) when the
-  // pc is not cacheable (page-crossing fetch, writable text) and the caller
+  // pc is not cacheable (misaligned fetch, writable text) and the caller
   // should single-step; returns the error FetchBytes/DecodeInsn would raise
   // so the fault surfaces exactly once, with the legacy message.
   Result<const Block*> LookupBlock(Task& task, TaskCache& st, uint32_t pc);
+  // The shared page for (frame, current generation), created on first use.
+  std::shared_ptr<DecodedPage> PageFor(FrameId frame);
+  // Drop every page and bump the epoch. Requires mu_.
+  void ClearLocked();
   Result<void> ExecuteBlock(Task& task, TaskCache& st, const Block& block, uint64_t budget,
                             uint64_t* executed);
 
   Kernel& kernel_;
   std::atomic<uint64_t> epoch_{1};
 
-  mutable std::mutex mu_;  // guards blocks_
-  FlatMap<uint64_t, std::shared_ptr<const Block>> blocks_;
+  mutable std::mutex mu_;  // guards pages_ and cached_blocks_
+  FlatMap<uint64_t, std::shared_ptr<DecodedPage>> pages_;  // (frame, gen) -> page
+  size_t cached_blocks_ = 0;  // blocks published into pages_ since the last clear
 
   std::mutex tasks_mu_;  // guards tasks_ (map shape only; states are per-driver)
   std::map<uint32_t, std::unique_ptr<TaskCache>> tasks_;

@@ -331,6 +331,26 @@ blob: .word 0x11111111
 )");
 }
 
+TEST(EngineDifferential, MisalignedJumpIntoCachedBlockIsIdentical) {
+  // `label` runs (and is cached) first; the jump then lands 4 bytes into
+  // it, where the bytes decode as `nop` (addi's immediate + ret's opcode)
+  // and then `halt`. Block slots hold aligned instructions only, so the
+  // misaligned pc must single-step rather than reuse label's block.
+  ExpectEnginesAgree(R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  call label
+  lea r1, label
+  addi r1, r1, 4
+  jmpr r1
+label:
+  addi r4, r4, 1
+  ret
+)", 100'000);
+}
+
 // Instruction budgets must stop both engines at exactly the same
 // instruction boundary — mid-block for the block engine — with identical
 // machine state, including budgets that land inside the loop body.
@@ -545,6 +565,185 @@ TEST(EngineCache, BlocksAreSharedAcrossTasksMappingTheSameFrames) {
   }
 }
 
+// Text 1 MiB apart — 256 pages, a multiple of the instruction-TLB size —
+// lands in the same slot of any index taken from the page number's low
+// bits. The program at 0x00100000 calls into a library at 0x00200000 on
+// every iteration, so an aliasing index would miss on nearly every dispatch.
+constexpr char kNearCaller[] = R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, 4000
+loop:
+  mov r0, r4
+  call far_twist
+  add r6, r6, r0
+  addi r4, r4, 1
+  blt r4, r5, loop
+  mov r0, r6
+  sys 0
+)";
+
+constexpr char kFarLibrary[] = R"(
+.text
+.global far_twist
+far_twist:
+  addi r0, r0, 3
+  movi r1, 7
+  and r0, r0, r1
+  ret
+)";
+
+Result<EngineWorld> SetupAliasedTextWorld(EngineMode mode) {
+  OMOS_TRY(ObjectFile lib_obj, Assemble(kFarLibrary, "far.o"));
+  LayoutSpec lib_layout;
+  lib_layout.text_base = 0x00200000;
+  OMOS_TRY(LinkedImage lib, LinkImage(Module::FromObject(std::make_shared<const ObjectFile>(
+                                          std::move(lib_obj))),
+                                      lib_layout, "far"));
+  const ImageSymbol* twist = lib.FindSymbol("far_twist");
+  if (twist == nullptr) {
+    return Err(ErrorCode::kNotFound, "far_twist");
+  }
+  OMOS_TRY(ObjectFile prog_obj, Assemble(kNearCaller, "near.o"));
+  LayoutSpec layout;
+  layout.entry_symbol = "_start";
+  layout.externals["far_twist"] = twist->addr;
+  OMOS_TRY(LinkedImage prog, LinkImage(Module::FromObject(std::make_shared<const ObjectFile>(
+                                           std::move(prog_obj))),
+                                       layout, "near"));
+  EngineWorld w;
+  w.kernel = std::make_unique<Kernel>();
+  w.kernel->SetEngineMode(mode);
+  w.task = &w.kernel->CreateTask("near");
+  OMOS_TRY_VOID(MapLinkedImage(*w.kernel, *w.task, prog, ""));
+  OMOS_TRY_VOID(MapLinkedImage(*w.kernel, *w.task, lib, ""));
+  std::vector<std::string> args{"near"};
+  OMOS_TRY_VOID(StartTask(*w.kernel, *w.task, prog.entry, args));
+  return w;
+}
+
+TEST(EngineCache, TextPagesOneMegabyteApartDoNotAliasInTheInstructionTlb) {
+  EngineMetrics& em = GetEngineMetrics();
+  ASSERT_OK_AND_ASSIGN(EngineWorld interp_world, SetupAliasedTextWorld(EngineMode::kInterp));
+  Result<void> interp_run = interp_world.kernel->RunTask(*interp_world.task);
+  Observed interp = Capture(interp_world, interp_run);
+
+  ASSERT_OK_AND_ASSIGN(EngineWorld w, SetupAliasedTextWorld(EngineMode::kBlocks));
+  uint64_t lookups0 = em.page_lookups->value();
+  uint64_t hits0 = em.block_hits->value();
+  Result<void> run = w.kernel->RunTask(*w.task);
+  Observed blocks = Capture(w, run);
+  ExpectSame(interp, blocks, "aliased text");
+  EXPECT_EQ(blocks.state, static_cast<int>(TaskState::kExited));
+
+  uint64_t lookups = em.page_lookups->value() - lookups0;
+  uint64_t dispatches = em.block_hits->value() - hits0;
+  EXPECT_GT(dispatches, 2u * 4000u);  // 3 cached block dispatches per iteration
+  // Two text pages, each looked up once per flush (the stack and data page
+  // faults at startup bump the map epoch a few times) — not per dispatch.
+  EXPECT_LE(lookups, 2u * 8u) << "instruction-TLB misses over " << dispatches << " dispatches";
+}
+
+// Four tasks start cold on one freshly mapped (shared-frame) image at the
+// same moment, so they race to decode and publish every block. Each block
+// must be published exactly once (losers free their copy — the ASan lane
+// checks for leaks) and every task must compute exactly what a lone task
+// computes.
+std::string ManyBlocksProgram() {
+  std::string source = ".text\n.global _start\n_start:\n  movi r4, 0\n  movi r5, 40\nouter:\n";
+  for (int i = 0; i < 300; ++i) {
+    source += StrCat("  addi r6, r6, ", i + 1, "\n  xor r7, r7, r6\n  bne r4, r5, b", i, "\nb",
+                     i, ":\n");
+  }
+  source += R"(  addi r4, r4, 1
+  blt r4, r5, outer
+  movi r0, 1
+  lea r1, msg
+  movi r2, 5
+  sys 1
+  mov r0, r7
+  sys 0
+.data
+msg: .asciiz "done\n"
+)";
+  return source;
+}
+
+// Maps `n` tasks onto the image's page-cached (shared) frames.
+std::vector<Task*> MapSharedTasks(Kernel& kernel, const LinkedImage& image, int n) {
+  std::vector<Task*> tasks;
+  for (int i = 0; i < n; ++i) {
+    Task& task = kernel.CreateTask(StrCat("cold", i));
+    std::vector<std::string> args{"engine"};
+    if (!MapLinkedImage(kernel, task, image, "pagecache:many").ok() ||
+        !StartTask(kernel, task, image.entry, args).ok()) {
+      return {};
+    }
+    tasks.push_back(&task);
+  }
+  return tasks;
+}
+
+TEST(EngineConcurrency, ConcurrentColdDecodePublishesEachBlockOnce) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(ManyBlocksProgram(), "many.o"));
+  Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
+  LayoutSpec layout;
+  layout.entry_symbol = "_start";
+  ASSERT_OK_AND_ASSIGN(LinkedImage image, LinkImage(module, layout, "many"));
+  ASSERT_GT(image.text.size(), size_t{kPageSize});  // blocks on more than one page
+
+  Kernel lone_kernel;
+  lone_kernel.SetEngineMode(EngineMode::kBlocks);
+  std::vector<Task*> lone_tasks = MapSharedTasks(lone_kernel, image, 1);
+  ASSERT_EQ(lone_tasks.size(), 1u);
+  const Task& lone = *lone_tasks[0];
+  ASSERT_OK(lone_kernel.RunTask(*lone_tasks[0]));
+  ASSERT_EQ(lone.output(), "done\n");
+
+  constexpr int kWorkers = 4;
+  Kernel kernel;
+  kernel.SetEngineMode(EngineMode::kBlocks);
+  std::vector<Task*> tasks = MapSharedTasks(kernel, image, kWorkers);
+  ASSERT_EQ(tasks.size(), size_t{kWorkers});
+  ASSERT_EQ(kernel.engine().CachedBlocks(), 0u);
+
+  EngineMetrics& em = GetEngineMetrics();
+  uint64_t decoded0 = em.blocks_decoded->value();
+  std::atomic<bool> go{false};
+  std::vector<std::string> status(kWorkers);
+  std::vector<std::thread> workers;
+  workers.reserve(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) {
+    workers.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      Result<void> run = kernel.RunTask(*tasks[static_cast<size_t>(i)]);
+      status[static_cast<size_t>(i)] = run.ok() ? "ok" : run.error().ToString();
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : workers) {
+    t.join();
+  }
+
+  for (int i = 0; i < kWorkers; ++i) {
+    const Task& task = *tasks[static_cast<size_t>(i)];
+    EXPECT_EQ(status[static_cast<size_t>(i)], "ok") << i;
+    EXPECT_EQ(task.state(), TaskState::kExited) << i;
+    EXPECT_EQ(task.exit_code(), lone.exit_code()) << i;
+    EXPECT_EQ(task.output(), lone.output()) << i;
+    EXPECT_EQ(task.user_cycles(), lone.user_cycles()) << i;
+    EXPECT_EQ(task.sys_cycles(), lone.sys_cycles()) << i;
+    EXPECT_EQ(task.instructions_retired(), lone.instructions_retired()) << i;
+  }
+  uint64_t decoded = em.blocks_decoded->value() - decoded0;
+  EXPECT_GT(decoded, 300u);
+  EXPECT_EQ(decoded, kernel.engine().CachedBlocks());
+}
+
 // ---- Invalidation on redefinition and upgrade -------------------------------
 
 constexpr char kCrt0[] = R"(
@@ -738,7 +937,11 @@ TEST_F(EngineInvalidationTest, RedefinitionWhileTasksExecute) {
 TEST(EngineConcurrency, InvalidateAllWhileTasksExecute) {
   Kernel kernel;
   kernel.SetEngineMode(EngineMode::kBlocks);
-  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(kLoopProgram, "loop.o"));
+  // 200 times kLoopProgram's iterations, so each run is long enough for the
+  // storm to reach it even on a loaded host.
+  std::string source = kLoopProgram;
+  source.replace(source.find("movi r5, 5000"), 13, "movi r5, 1000000");
+  ASSERT_OK_AND_ASSIGN(ObjectFile object, Assemble(source, "loop.o"));
   Module module = Module::FromObject(std::make_shared<const ObjectFile>(std::move(object)));
   LayoutSpec layout;
   layout.entry_symbol = "_start";
@@ -756,29 +959,40 @@ TEST(EngineConcurrency, InvalidateAllWhileTasksExecute) {
 
   std::atomic<int> bad{0};
   std::atomic<int> finished{0};
+  // Runs during which the engine epoch moved: a storm hit a running task.
+  std::atomic<int> overlapped{0};
+  // The workers start only once the storm has begun: a short run could
+  // otherwise finish before the first InvalidateAll under a loaded host.
+  std::atomic<bool> storming{false};
   std::vector<std::thread> workers;
   workers.reserve(kWorkers);
   for (int i = 0; i < kWorkers; ++i) {
     workers.emplace_back([&, i] {
+      while (!storming.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       Task* task = tasks[static_cast<size_t>(i)];
+      uint64_t epoch0 = kernel.engine().epoch();
       if (!kernel.RunTask(*task).ok() || task->state() != TaskState::kExited ||
           task->exit_code() != 0) {
         bad.fetch_add(1, std::memory_order_relaxed);
       }
+      if (kernel.engine().epoch() != epoch0) {
+        overlapped.fetch_add(1, std::memory_order_relaxed);
+      }
       finished.fetch_add(1, std::memory_order_release);
     });
   }
-  uint64_t invalidations = 0;
+  storming.store(true, std::memory_order_release);
   while (finished.load(std::memory_order_acquire) < kWorkers) {
     kernel.engine().InvalidateAll("test.storm");
-    ++invalidations;
     std::this_thread::yield();
   }
   for (std::thread& t : workers) {
     t.join();
   }
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_GT(invalidations, 0u);
+  EXPECT_GT(overlapped.load(), 0);
 }
 
 }  // namespace
