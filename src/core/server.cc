@@ -587,7 +587,15 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
   // once and share the image (CacheStats::single_flight_waits counts the
   // followers; inserts stays 1).
   ImageCache::MissJoin join = cache_.JoinBuild(key);
-  if (!join.leader) {
+  if (join.leader) {
+    // A leader that finished between our missed Get and JoinBuild has
+    // already erased its in-flight entry; its image is in the cache. Peek
+    // (no second miss counted) before building it again.
+    if (const CachedImage* built = cache_.Peek(key)) {
+      cache_.FinishBuild(key, built);
+      return built;
+    }
+  } else {
     if (join.image != nullptr) {
       return join.image;
     }

@@ -97,18 +97,23 @@ struct ExecEngine::DecodedPage {
   std::array<std::atomic<const Block*>, kPageSize / kInsnSize> slots{};
 };
 
-struct ExecEngine::TaskCache {
+// Cache-line aligned, like Task: its counters are written on every block
+// and must not share a line with another task's state.
+struct alignas(64) ExecEngine::TaskCache {
   static constexpr uint32_t kTlbEntries = 32;    // data TLB, direct-mapped by virtual page
   static constexpr uint32_t kItlbBits = 8;  // instruction TLB: 256 entries, indexed by a page hash
+  // TlbEntry::perm bits: what a hit may do without the slow path.
+  static constexpr uint8_t kTlbRead = 1;
+  static constexpr uint8_t kTlbWrite = 2;  // clear while the page is CoW
 
   struct TlbEntry {
     uint32_t page = kInvalidPage;  // virtual page number (addr / kPageSize)
+    uint8_t perm = 0;              // kTlbRead | kTlbWrite, computed at fill time
     uint8_t* data = nullptr;       // frame bytes
-    uint8_t prot = 0;
-    bool cow = false;  // writes must fault even though prot allows them
   };
   struct ItlbEntry {
     uint32_t page = kInvalidPage;  // virtual page number
+    bool touched = false;          // the task's first-touch billing for `page` is done
     uint64_t flush = 0;            // valid only while equal to itlb_flush
     const uint8_t* data = nullptr;  // frame bytes, for decoding
     std::shared_ptr<DecodedPage> decoded;  // keeps its blocks alive vs. eviction
@@ -119,9 +124,10 @@ struct ExecEngine::TaskCache {
 
   std::array<TlbEntry, kTlbEntries> tlb{};
   std::array<ItlbEntry, 1u << kItlbBits> itlb{};
-  // Data accesses re-sync the TLB mid-block; the instruction TLB is flushed
-  // (itlb_flush bumped, retiring every entry) only between blocks, as an
-  // entry holds the page keeping the executing block alive.
+  // The data TLB is synced to the map epoch at block entry and after every
+  // slow-path access (the only in-block map changes); the instruction TLB
+  // is flushed (itlb_flush bumped, retiring every entry) only between
+  // blocks, as an entry holds the page keeping the executing block alive.
   uint64_t tlb_epoch = 0;
   uint64_t itlb_space_epoch = 0;
   uint64_t itlb_engine_epoch = 0;
@@ -132,10 +138,39 @@ struct ExecEngine::TaskCache {
   uint64_t block_hits = 0;
   uint64_t page_lookups = 0;
 
-  void FlushTlb() {
-    for (TlbEntry& e : tlb) {
-      e.page = kInvalidPage;
+  void SyncTlb(uint64_t map_epoch) {
+    if (tlb_epoch != map_epoch) {
+      for (TlbEntry& e : tlb) {
+        e.page = kInvalidPage;
+      }
+      tlb_epoch = map_epoch;
     }
+  }
+
+  // Data-TLB miss path: (re)fill the entry for `addr`'s page and return the
+  // frame byte pointer if the access may proceed there, or nullptr to route
+  // it through the billing/faulting slow path (absent page, CoW write,
+  // protection mismatch, page-crossing). Kept out of line so the inlined hit
+  // probe stays small.
+  [[gnu::noinline]] uint8_t* TlbFill(const AddressSpace& space, uint32_t addr, uint32_t size,
+                                     uint8_t need) {
+    if ((addr & kPageMask) <= kPageSize - size) {
+      uint32_t page = addr / kPageSize;
+      TlbEntry& e = tlb[page & (kTlbEntries - 1)];
+      AddressSpace::PageLookup pl;
+      if (space.LookupPage(addr, &pl) && pl.present) {
+        e.page = page;
+        e.data = pl.data;
+        e.perm = static_cast<uint8_t>(((pl.prot & kProtRead) != 0 ? kTlbRead : 0) |
+                                      ((pl.prot & kProtWrite) != 0 && !pl.cow ? kTlbWrite : 0));
+        if ((e.perm & need) != 0) {
+          ++tlb_hits;
+          return e.data + (addr & kPageMask);
+        }
+      }
+    }
+    ++tlb_misses;
+    return nullptr;
   }
 };
 
@@ -244,6 +279,7 @@ Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& 
     }
     ++st.page_lookups;
     entry.page = vpage;
+    entry.touched = false;
     entry.flush = st.itlb_flush;
     entry.data = pl.data;
     entry.decoded = PageFor(pl.frame);
@@ -309,80 +345,70 @@ Result<const ExecEngine::Block*> ExecEngine::LookupBlock(Task& task, TaskCache& 
   return published;
 }
 
+template <bool kExact>
 Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& block,
                                       uint64_t budget, uint64_t* executed) {
   AddressSpace& space = task.space();
   uint32_t pc = task.pc();
   uint32_t next = 0;
-  // First-touch accounting for the block's text page. CpuStep checks this
-  // per instruction, but a block never crosses a page, so one check at
-  // entry bills identically (Run() guarantees at least one instruction of
-  // budget, matching CpuStep's bill-on-first-instruction).
-  if (task.TouchTextPage(pc / kPageSize)) {
-    task.BillSys(kernel_.costs().page_fault);
-  }
-
   const DecodedInsn* d = block.insns.data();
   const DecodedInsn* dend = d + block.insns.size();
+  if constexpr (!kExact) {
+    // Run() chose fast mode: no profiler and the whole block fits in the
+    // budget, so retire it now; a mid-block exit gives back the rest.
+    task.RetireInstructions(block.insns.size());
+    *executed += block.insns.size();
+  }
+  // A mid-block exit (divide by zero, failed slow-path access) leaves the
+  // faulting instruction retired and pc past it, as CpuStep does.
+  auto fail = [&](Error error) -> Result<void> {
+    task.set_pc(next);
+    if constexpr (!kExact) {
+      uint64_t unreached = static_cast<uint64_t>(dend - d) - 1;
+      task.UnretireInstructions(unreached);
+      *executed -= unreached;
+    }
+    return error;
+  };
   auto r = [&](uint8_t i) { return task.reg(i); };
   auto w = [&](uint8_t i, uint32_t v) { task.set_reg(i, v); };
-  // Software TLB probe for a `size`-byte access that must not cross a page.
-  // Returns the frame byte pointer on a hit with sufficient permission, or
-  // nullptr to route the access through the billing/faulting slow path
-  // (absent page, CoW write, protection mismatch, page-crossing). The slow
-  // path resolves the fault exactly like CpuStep's Read32/Write32 — and
-  // bumps the map epoch, which re-syncs the TLB on the next probe.
-  auto tlb = [&](uint32_t addr, uint32_t size, bool write) -> uint8_t* {
-    uint8_t* hit = nullptr;
-    if ((addr & kPageMask) <= kPageSize - size) {
-      uint64_t epoch = space.map_epoch();
-      if (st.tlb_epoch != epoch) {
-        st.FlushTlb();
-        st.tlb_epoch = epoch;
-      }
-      uint32_t page = addr / kPageSize;
-      TaskCache::TlbEntry& e = st.tlb[page & (TaskCache::kTlbEntries - 1)];
-      if (e.page != page) {
-        AddressSpace::PageLookup pl;
-        if (space.LookupPage(addr, &pl) && pl.present) {
-          e.page = page;
-          e.data = pl.data;
-          e.prot = pl.prot;
-          e.cow = pl.cow;
-        }
-      }
-      if (e.page == page) {
-        bool allowed = write ? ((e.prot & kProtWrite) != 0 && !e.cow)
-                             : (e.prot & kProtRead) != 0;
-        if (allowed) {
-          hit = e.data + (addr & kPageMask);
-        }
-      }
-    }
-    if (hit != nullptr) {
+  // Software TLB probe for a `size`-byte access that must not cross a page:
+  // the frame byte pointer on a hit, or nullptr for the slow path. The hit
+  // is a page compare and a permission bit; the epoch was checked at block
+  // entry and is re-checked after each slow-path access (sync), whose fault
+  // resolution — a demand-zero fill or CoW break — is the only way the map
+  // changes inside a block.
+  auto sync = [&] { st.SyncTlb(space.map_epoch()); };
+  sync();
+  auto tlb = [&](uint32_t addr, uint32_t size, uint8_t need) -> uint8_t* {
+    uint32_t page = addr / kPageSize;
+    TaskCache::TlbEntry& e = st.tlb[page & (TaskCache::kTlbEntries - 1)];
+    if (e.page == page && (e.perm & need) != 0 && (addr & kPageMask) <= kPageSize - size) {
       ++st.tlb_hits;
-    } else {
-      ++st.tlb_misses;
+      return e.data + (addr & kPageMask);
     }
-    return hit;
+    return st.TlbFill(space, addr, size, need);
   };
 
-// Per-instruction prologue, replicating CpuStep's exact order: budget stop
-// at the boundary (pc already points at the unexecuted instruction), retire
-// count, profiler sample at the pre-execution pc, then pc := pc_next.
+// Per-instruction prologue. Exact mode replicates CpuStep's order: budget
+// stop at the boundary (pc already points at the unexecuted instruction),
+// retire count, profiler sample at the pre-execution pc, pc := pc_next.
+// Fast mode only computes pc_next; every exit stores the task's pc.
 #define OMOS_PROLOGUE()                                                      \
   do {                                                                       \
-    if (*executed >= budget) {                                               \
-      return OkResult();                                                     \
-    }                                                                        \
-    task.CountInstruction();                                                 \
-    ++*executed;                                                             \
-    if (CycleProfiler::enabled() &&                                          \
-        (task.instructions_retired() & CycleProfiler::mask()) == 0) {        \
-      CycleProfiler::RecordSample(task.id(), pc);                            \
-    }                                                                        \
     next = pc + kInsnSize;                                                   \
-    task.set_pc(next);                                                       \
+    if constexpr (kExact) {                                                  \
+      if (*executed >= budget) {                                             \
+        return OkResult();                                                   \
+      }                                                                      \
+      task.CountInstruction();                                               \
+      ++*executed;                                                           \
+      if (CycleProfiler::enabled() &&                                        \
+          (task.instructions_retired() & CycleProfiler::mask()) == 0) {      \
+        CycleProfiler::RecordSample(task.id(), pc);                          \
+      }                                                                      \
+      task.set_pc(next);                                                     \
+    }                                                                        \
   } while (0)
 
 #if OMOS_ENGINE_DIRECT_THREADED
@@ -400,6 +426,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
 #define OMOS_NEXT()                                                          \
   do {                                                                       \
     if (++d == dend) {                                                       \
+      task.set_pc(next);                                                     \
       return OkResult();                                                     \
     }                                                                        \
     pc = next;                                                               \
@@ -419,6 +446,7 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
 #endif
 
   OMOS_OP(kHalt):
+    task.set_pc(next);
     task.Exit(0);
     return OkResult();
   OMOS_OP(kNop):
@@ -444,14 +472,14 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
     OMOS_NEXT();
   OMOS_OP(kDiv):
     if (r(d->r3) == 0) {
-      return Err(ErrorCode::kExecFault, StrCat("divide by zero at ", Hex32(pc)));
+      return fail(Err(ErrorCode::kExecFault, StrCat("divide by zero at ", Hex32(pc))));
     }
     w(d->r1, static_cast<uint32_t>(static_cast<int32_t>(r(d->r2)) /
                                    static_cast<int32_t>(r(d->r3))));
     OMOS_NEXT();
   OMOS_OP(kMod):
     if (r(d->r3) == 0) {
-      return Err(ErrorCode::kExecFault, StrCat("mod by zero at ", Hex32(pc)));
+      return fail(Err(ErrorCode::kExecFault, StrCat("mod by zero at ", Hex32(pc))));
     }
     w(d->r1, static_cast<uint32_t>(static_cast<int32_t>(r(d->r2)) %
                                    static_cast<int32_t>(r(d->r3))));
@@ -476,96 +504,91 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
     OMOS_NEXT();
   OMOS_OP(kLd): {
     uint32_t addr = r(d->r2) + d->imm;
-    if (const uint8_t* p = tlb(addr, 4, /*write=*/false)) {
+    if (const uint8_t* p = tlb(addr, 4, TaskCache::kTlbRead)) {
       w(d->r1, Load32(p));
     } else {
       Result<uint32_t> v = space.Read32(addr);
       if (!v.ok()) {
-        return v.error();
+        return fail(v.error());
       }
+      sync();
       w(d->r1, *v);
     }
     OMOS_NEXT();
   }
   OMOS_OP(kSt): {
     uint32_t addr = r(d->r2) + d->imm;
-    if (uint8_t* p = tlb(addr, 4, /*write=*/true)) {
+    if (uint8_t* p = tlb(addr, 4, TaskCache::kTlbWrite)) {
       Store32(p, r(d->r1));
     } else {
       Result<void> res = space.Write32(addr, r(d->r1));
       if (!res.ok()) {
-        return res.error();
+        return fail(res.error());
       }
+      sync();
     }
     OMOS_NEXT();
   }
   OMOS_OP(kLdB): {
     uint32_t addr = r(d->r2) + d->imm;
-    if (const uint8_t* p = tlb(addr, 1, /*write=*/false)) {
+    if (const uint8_t* p = tlb(addr, 1, TaskCache::kTlbRead)) {
       w(d->r1, *p);
     } else {
       Result<uint8_t> v = space.Read8(addr);
       if (!v.ok()) {
-        return v.error();
+        return fail(v.error());
       }
+      sync();
       w(d->r1, *v);
     }
     OMOS_NEXT();
   }
   OMOS_OP(kStB): {
     uint32_t addr = r(d->r2) + d->imm;
-    if (uint8_t* p = tlb(addr, 1, /*write=*/true)) {
+    if (uint8_t* p = tlb(addr, 1, TaskCache::kTlbWrite)) {
       *p = static_cast<uint8_t>(r(d->r1));
     } else {
       Result<void> res = space.Write8(addr, static_cast<uint8_t>(r(d->r1)));
       if (!res.ok()) {
-        return res.error();
+        return fail(res.error());
       }
+      sync();
     }
     OMOS_NEXT();
   }
   OMOS_OP(kLdPc): {
     uint32_t addr = next + d->imm;
-    if (const uint8_t* p = tlb(addr, 4, /*write=*/false)) {
+    if (const uint8_t* p = tlb(addr, 4, TaskCache::kTlbRead)) {
       w(d->r1, Load32(p));
     } else {
       Result<uint32_t> v = space.Read32(addr);
       if (!v.ok()) {
-        return v.error();
+        return fail(v.error());
       }
+      sync();
       w(d->r1, *v);
     }
     OMOS_NEXT();
   }
   OMOS_OP(kBeq):
-    if (r(d->r1) == r(d->r2)) {
-      task.set_pc(next + d->imm);
-    }
+    task.set_pc(r(d->r1) == r(d->r2) ? next + d->imm : next);
     return OkResult();
   OMOS_OP(kBne):
-    if (r(d->r1) != r(d->r2)) {
-      task.set_pc(next + d->imm);
-    }
+    task.set_pc(r(d->r1) != r(d->r2) ? next + d->imm : next);
     return OkResult();
   OMOS_OP(kBlt):
-    if (static_cast<int32_t>(r(d->r1)) < static_cast<int32_t>(r(d->r2))) {
-      task.set_pc(next + d->imm);
-    }
+    task.set_pc(static_cast<int32_t>(r(d->r1)) < static_cast<int32_t>(r(d->r2)) ? next + d->imm
+                                                                                : next);
     return OkResult();
   OMOS_OP(kBge):
-    if (static_cast<int32_t>(r(d->r1)) >= static_cast<int32_t>(r(d->r2))) {
-      task.set_pc(next + d->imm);
-    }
+    task.set_pc(static_cast<int32_t>(r(d->r1)) >= static_cast<int32_t>(r(d->r2)) ? next + d->imm
+                                                                                 : next);
     return OkResult();
   OMOS_OP(kBltu):
-    if (r(d->r1) < r(d->r2)) {
-      task.set_pc(next + d->imm);
-    }
+    task.set_pc(r(d->r1) < r(d->r2) ? next + d->imm : next);
     return OkResult();
   OMOS_OP(kBgeu):
-    if (r(d->r1) >= r(d->r2)) {
-      task.set_pc(next + d->imm);
-    }
+    task.set_pc(r(d->r1) >= r(d->r2) ? next + d->imm : next);
     return OkResult();
   OMOS_OP(kJmp):
     task.set_pc(d->imm);
@@ -594,26 +617,28 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   OMOS_OP(kPush): {
     uint32_t sp = r(kRegSp) - 4;
     w(kRegSp, sp);
-    if (uint8_t* p = tlb(sp, 4, /*write=*/true)) {
+    if (uint8_t* p = tlb(sp, 4, TaskCache::kTlbWrite)) {
       Store32(p, r(d->r1));
     } else {
       Result<void> res = space.Write32(sp, r(d->r1));
       if (!res.ok()) {
-        return res.error();
+        return fail(res.error());
       }
+      sync();
     }
     OMOS_NEXT();
   }
   OMOS_OP(kPop): {
     uint32_t sp = r(kRegSp);
     uint32_t v;
-    if (const uint8_t* p = tlb(sp, 4, /*write=*/false)) {
+    if (const uint8_t* p = tlb(sp, 4, TaskCache::kTlbRead)) {
       v = Load32(p);
     } else {
       Result<uint32_t> res = space.Read32(sp);
       if (!res.ok()) {
-        return res.error();
+        return fail(res.error());
       }
+      sync();
       v = *res;
     }
     w(d->r1, v);
@@ -622,13 +647,15 @@ Result<void> ExecEngine::ExecuteBlock(Task& task, TaskCache& st, const Block& bl
   }
   OMOS_OP(kSys):
     // The syscall may remap, exit, or request a safepoint; end the block.
+    task.set_pc(next);
     return kernel_.Syscall(task, d->imm);
 
 #if !OMOS_ENGINE_DIRECT_THREADED
       case Opcode::kCount:
-        return Err(ErrorCode::kExecFault, StrCat("illegal opcode at ", Hex32(pc)));
+        return fail(Err(ErrorCode::kExecFault, StrCat("illegal opcode at ", Hex32(pc))));
     }
     if (++d == dend) {
+      task.set_pc(next);
       return OkResult();
     }
     pc = next;
@@ -663,21 +690,49 @@ Result<void> ExecEngine::Run(Task& task, uint64_t budget, uint64_t* executed) {
     }
   } flush{st, metrics};
 
+  AddressSpace& space = task.space();
   while (task.state() == TaskState::kRunnable && *executed < budget &&
          !task.safepoint_pending()) {
     uint32_t pc = task.pc();
-    Result<const Block*> block = LookupBlock(task, st, pc);
-    if (!block.ok()) {
-      return block.error();
+    uint32_t vpage = pc / kPageSize;
+    TaskCache::ItlbEntry& entry = st.itlb[TaskCache::ItlbIndex(vpage)];
+    // Warm dispatch, inline: both epochs current, an aligned pc, a live
+    // instruction-TLB entry for its page and a published block slot.
+    // Anything else goes to LookupBlock, which flushes, fills or decodes.
+    const Block* block = nullptr;
+    if (entry.page == vpage && entry.flush == st.itlb_flush && pc % kInsnSize == 0 &&
+        st.itlb_space_epoch == space.map_epoch() &&
+        st.itlb_engine_epoch == epoch_.load(std::memory_order_acquire)) {
+      block = entry.decoded->slots[(pc & kPageMask) / kInsnSize].load(std::memory_order_acquire);
     }
-    if (*block == nullptr) {
-      // Uncacheable pc (page-crossing fetch, writable or still-absent
-      // text): single-step the legacy way.
-      OMOS_TRY_VOID(CpuStep(kernel_, task));
-      ++*executed;
-      continue;
+    if (block != nullptr) {
+      ++st.block_hits;
+    } else {
+      OMOS_TRY(block, LookupBlock(task, st, pc));
+      if (block == nullptr) {
+        // Uncacheable pc (page-crossing fetch, writable or still-absent
+        // text): single-step the legacy way.
+        OMOS_TRY_VOID(CpuStep(kernel_, task));
+        ++*executed;
+        continue;
+      }
     }
-    OMOS_TRY_VOID(ExecuteBlock(task, st, **block, budget, executed));
+    // First-touch accounting for the block's text page, once per entry
+    // fill. CpuStep checks this per instruction, but a block never crosses
+    // a page, so billing at block entry is identical (the loop guarantees
+    // at least one instruction of budget, matching CpuStep's
+    // bill-on-first-instruction); the flag only skips re-probing the set.
+    if (!entry.touched) {
+      entry.touched = true;
+      if (task.TouchTextPage(vpage)) {
+        task.BillSys(kernel_.costs().page_fault);
+      }
+    }
+    if (!CycleProfiler::enabled() && budget - *executed >= block->insns.size()) {
+      OMOS_TRY_VOID(ExecuteBlock<false>(task, st, *block, budget, executed));
+    } else {
+      OMOS_TRY_VOID(ExecuteBlock<true>(task, st, *block, budget, executed));
+    }
   }
   return OkResult();
 }

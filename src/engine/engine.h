@@ -16,26 +16,40 @@
 //     stale page. A page holds one atomic block slot per instruction offset,
 //     filled once by compare-and-swap (a losing decoder frees its copy).
 //
-//   - A per-task instruction TLB, indexed by a hash of the virtual page (low
-//     bits alone alias text mapped 1 MiB apart), holding each text page's
-//     frame bytes and a shared_ptr to its DecodedPage that keeps the running
-//     block alive across InvalidateAll; plus a small data TLB. Both are
-//     tagged with AddressSpace::map_epoch() and the engine's invalidation
-//     epoch and self-flush on mismatch, so map changes, CoW breaks and
-//     explicit invalidations cost one compare per block entry.
-//
-// A warm dispatch is one TLB probe plus one acquire load: no lock and no
-// refcount write, so tasks sharing text do not contend. The L2 map and its
-// mutex are consulted only on an instruction-TLB miss.
+//   - Per task, an instruction TLB, indexed by a hash of the virtual page
+//     (low bits alone alias text mapped 1 MiB apart), holding each text
+//     page's frame bytes and a shared_ptr to its DecodedPage that keeps the
+//     running block alive across InvalidateAll; plus a small data TLB. Both
+//     are tagged with AddressSpace::map_epoch() (the instruction TLB also
+//     with the engine's invalidation epoch) and self-flush on mismatch. The
+//     L2 map and its mutex are consulted only on an instruction-TLB miss.
 //
 // A block is a run of instructions within one text page ending at the first
 // control-flow instruction (branch, jump, call, ret, sys, halt), the page
-// edge, or an undecodable instruction. Executing a block replicates
-// CpuStep's per-instruction order exactly — CountInstruction, profiler
-// sample at the pre-execution pc, first-touch text-page billing, pc_next
-// update — so retired counts, simulated cycles and profile sample streams
-// are byte-identical between engines. Pages mapped writable+executable are
-// never cached; they fall back to CpuStep.
+// edge, or an undecodable instruction. Pages mapped writable+executable are
+// never cached; they, and misaligned pcs, fall back to CpuStep.
+//
+// What is checked per block, at dispatch in Run():
+//   - the instruction-TLB hit, inline: both epochs, pc alignment, the entry
+//     and its block slot (one acquire load; no lock, no refcount write, so
+//     tasks sharing text do not contend); LookupBlock only on a miss;
+//   - first-touch text-page billing, once per instruction-TLB entry fill;
+//   - the data-TLB map epoch, at block entry and again after every
+//     slow-path access (a demand-zero fill or CoW break is the only way the
+//     map changes inside a block), so a CoW break never leaves a stale entry;
+//   - the mode: with the profiler off and the whole block inside the
+//     budget, the block's instructions, user cycles and budget count are
+//     retired at once at entry, and a mid-block exit (divide by zero, a
+//     failed slow-path access) gives back the ones it did not reach.
+//
+// What is checked per instruction: in that fast mode, only the data-TLB hit
+// of a memory access (a page compare and a permission bit set at fill
+// time). Otherwise (exact mode: profiler on, or the budget ends inside the
+// block) CpuStep's per-instruction order is replicated — budget stop,
+// CountInstruction, profiler sample at the pre-execution pc, pc update.
+// Either way retired counts, simulated cycles, fault state and profile
+// sample streams are byte-identical between engines at every point the rest
+// of the system can observe them (block exits, syscalls, faults).
 #ifndef OMOS_SRC_ENGINE_ENGINE_H_
 #define OMOS_SRC_ENGINE_ENGINE_H_
 
@@ -124,6 +138,10 @@ class ExecEngine {
   std::shared_ptr<DecodedPage> PageFor(FrameId frame);
   // Drop every page and bump the epoch. Requires mu_.
   void ClearLocked();
+  // kExact: per-instruction budget stop, retire count and profiler sample,
+  // as CpuStep. Otherwise (profiler off, block within budget) the block is
+  // retired at entry and a mid-block exit gives back what it did not reach.
+  template <bool kExact>
   Result<void> ExecuteBlock(Task& task, TaskCache& st, const Block& block, uint64_t budget,
                             uint64_t* executed);
 

@@ -30,7 +30,10 @@ struct FdEntry {
   uint32_t dir_index = 0;
 };
 
-class Task {
+// Cache-line aligned: tasks created one after another would otherwise share
+// a line, and one task's per-instruction register and counter writes would
+// keep invalidating the line its neighbour's driver thread polls per block.
+class alignas(64) Task {
  public:
   Task(TaskId id, std::string name, PhysMemory& phys)
       : id_(id), name_(std::move(name)), space_(std::make_unique<AddressSpace>(phys)) {
@@ -91,6 +94,17 @@ class Task {
   void CountInstruction() {
     ++instructions_retired_;
     ++user_cycles_;
+  }
+  // Block-engine accounting: retire a whole block of `n` instructions at
+  // once (n CountInstruction calls), and give back the `n` a mid-block exit
+  // did not reach.
+  void RetireInstructions(uint64_t n) {
+    instructions_retired_ += n;
+    user_cycles_ += n;
+  }
+  void UnretireInstructions(uint64_t n) {
+    instructions_retired_ -= n;
+    user_cycles_ -= n;
   }
 
   // Demand-paging accounting for instruction fetch: returns true the first

@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "src/support/strings.h"
 #include "src/support/trace.h"
 #include "src/upgrade/upgrade.h"
+#include "src/workloads/workloads.h"
 #include "tests/helpers.h"
 
 namespace omos {
@@ -53,7 +55,10 @@ struct EngineWorld {
   Task* task = nullptr;
 };
 
-Result<EngineWorld> SetupWorld(EngineMode mode, const std::string& source) {
+// `mapping` names a kernel page-cache entry to map the image under (text
+// shared, data copy-on-write); empty maps both privately.
+Result<EngineWorld> SetupWorld(EngineMode mode, const std::string& source,
+                               const std::string& mapping = "") {
   EngineWorld w;
   w.kernel = std::make_unique<Kernel>();
   w.kernel->SetEngineMode(mode);
@@ -63,7 +68,7 @@ Result<EngineWorld> SetupWorld(EngineMode mode, const std::string& source) {
   layout.entry_symbol = "_start";
   OMOS_TRY(LinkedImage image, LinkImage(module, layout, "engine"));
   w.task = &w.kernel->CreateTask("engine");
-  OMOS_TRY_VOID(MapLinkedImage(*w.kernel, *w.task, image, ""));
+  OMOS_TRY_VOID(MapLinkedImage(*w.kernel, *w.task, image, mapping));
   std::vector<std::string> args{"engine"};
   OMOS_TRY_VOID(StartTask(*w.kernel, *w.task, image.entry, args));
   return w;
@@ -87,8 +92,8 @@ Observed Capture(EngineWorld& w, const Result<void>& run) {
 }
 
 Result<Observed> RunUnder(EngineMode mode, const std::string& source,
-                          uint64_t budget = 200'000'000) {
-  OMOS_TRY(EngineWorld w, SetupWorld(mode, source));
+                          uint64_t budget = 200'000'000, const std::string& mapping = "") {
+  OMOS_TRY(EngineWorld w, SetupWorld(mode, source, mapping));
   Result<void> run = w.kernel->RunTask(*w.task, budget);
   return Capture(w, run);
 }
@@ -126,9 +131,10 @@ void ExpectSame(const Observed& interp, const Observed& blocks, const std::strin
   EXPECT_EQ(interp.vm_fires, blocks.vm_fires) << label;
 }
 
-void ExpectEnginesAgree(const std::string& source, uint64_t budget = 200'000'000) {
-  ASSERT_OK_AND_ASSIGN(Observed interp, RunUnder(EngineMode::kInterp, source, budget));
-  ASSERT_OK_AND_ASSIGN(Observed blocks, RunUnder(EngineMode::kBlocks, source, budget));
+void ExpectEnginesAgree(const std::string& source, uint64_t budget = 200'000'000,
+                        const std::string& mapping = "") {
+  ASSERT_OK_AND_ASSIGN(Observed interp, RunUnder(EngineMode::kInterp, source, budget, mapping));
+  ASSERT_OK_AND_ASSIGN(Observed blocks, RunUnder(EngineMode::kBlocks, source, budget, mapping));
   ExpectSame(interp, blocks, StrCat("budget ", budget));
 }
 
@@ -377,6 +383,74 @@ loop:
   }
 }
 
+// One block loads a word from a copy-on-write data page (the data TLB fills
+// a read-only entry for it), stores to it (the slow path breaks CoW onto a
+// private copy) and loads it again: the second load must see the store, not
+// the shared frame the first fill pointed at.
+TEST(EngineDifferential, LoadAfterCowBreakInOneBlockSeesTheStore) {
+  const std::string prog = R"(
+.text
+.global _start
+_start:
+  lea r1, word
+  ld r2, [r1+0]
+  addi r3, r2, 5
+  st r3, [r1+0]
+  ld r0, [r1+0]
+  sys 0
+.data
+.align 4
+word: .word 37
+)";
+  Counter* copies = MetricsRegistry::Global().GetCounter("vm.cow_broken_pages");
+  uint64_t before = copies->value();
+  ASSERT_OK_AND_ASSIGN(Observed blocks,
+                       RunUnder(EngineMode::kBlocks, prog, 200'000'000, "pagecache:cow"));
+  EXPECT_GT(copies->value(), before);  // the store really broke CoW
+  EXPECT_EQ(blocks.exit_code, 42);
+  ExpectEnginesAgree(prog, 200'000'000, "pagecache:cow");
+}
+
+// kSysTime reads the elapsed cycles after the engine has retired a long
+// straight-line block at once. Its value is elapsed / 1000, so the test
+// finds, on the interpreter, a program whose elapsed count reaches a
+// multiple of 1000 exactly at the syscall: a loop of `iterations` (two
+// instructions each) moves the count near a step, and `extra` instructions
+// on the 300-instruction straight line move it one at a time. All of it
+// stays on one text page, so no page-fault charge jumps over the step.
+std::string TimeAfterStraightLine(int iterations, int extra) {
+  std::string source = StrCat(".text\n.global _start\n_start:\n  movi r6, 0\n  movi r5, ",
+                              iterations + 1, "\nspin:\n  addi r5, r5, -1\n  bne r5, r6, spin\n");
+  for (int i = 0; i < 300 + extra; ++i) {
+    source += "  addi r4, r4, 1\n";
+  }
+  return source + "  sys 8\n  sys 0\n";  // r0 := elapsed / 1000; exit
+}
+
+TEST(EngineDifferential, SysTimeAfterLongStraightLineBlock) {
+  auto time_after = [](int iterations, int extra) -> uint32_t {
+    Result<Observed> o =
+        RunUnder(EngineMode::kInterp, TimeAfterStraightLine(iterations, extra));
+    return o.ok() ? o->regs[0] : 0;
+  };
+  // 600 iterations add 1200 cycles, so r0 steps in (lo, hi].
+  int lo = 0;
+  int hi = 600;
+  const uint32_t base = time_after(lo, 0);
+  ASSERT_GT(time_after(hi, 0), base);
+  while (hi - lo > 1) {
+    int mid = (lo + hi) / 2;
+    (time_after(mid, 0) > base ? hi : lo) = mid;
+  }
+  // With `lo` iterations the count sits one or two below the step, so it
+  // steps at extra == 1 or 2, one instruction at a time.
+  ASSERT_EQ(time_after(lo, 0), base);
+  ASSERT_GT(time_after(lo, 3), base);
+  for (int extra = 0; extra <= 3; ++extra) {
+    ExpectEnginesAgree(TimeAfterStraightLine(lo, extra));
+  }
+}
+
 // ---- Seeded vm.fault sweeps -------------------------------------------------
 
 // The loop body mixes demand-zero fills (a walk down the unmapped stack
@@ -488,6 +562,62 @@ leaf:
   }
 }
 
+// A first RunTask slice, profiler off, whose budget runs out inside a block;
+// then the profiler is switched on for a second slice of the same task. The
+// block engine retires whole blocks at once only while the profiler is off
+// and the block fits the budget, so both the stop and the sample stream
+// must still equal the interpreter's.
+TEST(EngineProfiler, ProfilerEnabledBetweenSlicesMatchesInterpreter) {
+  // Blocks per iteration: [add xor add xor call] [addi ret] [addi blt];
+  // the first iteration's head block also holds the two movi. The budgets
+  // land 2, 3 and 4 instructions into the five-instruction block.
+  const std::string prog = R"(
+.text
+.global _start
+_start:
+  movi r4, 0
+  movi r5, 300
+loop:
+  add r6, r6, r4
+  xor r7, r6, r5
+  add r8, r7, r6
+  xor r9, r8, r4
+  call leaf
+  addi r4, r4, 1
+  blt r4, r5, loop
+  movi r0, 0
+  sys 0
+leaf:
+  addi r7, r7, 1
+  ret
+)";
+  for (uint64_t budget : {913u, 914u, 915u}) {
+    Observed first[2];
+    Observed last[2];
+    std::vector<CycleProfiler::Sample> streams[2];
+    const EngineMode modes[2] = {EngineMode::kInterp, EngineMode::kBlocks};
+    for (int i = 0; i < 2; ++i) {
+      CycleProfiler::Clear();
+      ASSERT_OK_AND_ASSIGN(EngineWorld w, SetupWorld(modes[i], prog));
+      first[i] = Capture(w, w.kernel->RunTask(*w.task, budget));
+      CycleProfiler::Start(16);
+      last[i] = Capture(w, w.kernel->RunTask(*w.task));
+      CycleProfiler::Stop();
+      streams[i] = CycleProfiler::Samples();
+    }
+    EXPECT_NE(first[1].run_status.find("exceeded instruction budget"), std::string::npos);
+    EXPECT_EQ(first[1].retired, budget);
+    ExpectSame(first[0], first[1], StrCat("first slice, budget ", budget));
+    ExpectSame(last[0], last[1], StrCat("second slice, budget ", budget));
+    ASSERT_GT(streams[0].size(), 10u);
+    ASSERT_EQ(streams[0].size(), streams[1].size());
+    for (size_t k = 0; k < streams[0].size(); ++k) {
+      EXPECT_EQ(streams[0][k].task_id, streams[1][k].task_id) << "sample " << k;
+      EXPECT_EQ(streams[0][k].pc, streams[1][k].pc) << "sample " << k;
+    }
+  }
+}
+
 // ---- Cache behavior and metrics ---------------------------------------------
 
 constexpr char kLoopProgram[] = R"(
@@ -531,6 +661,24 @@ TEST(EngineCache, CountersAdvanceAndInvalidateAllDropsBlocks) {
   EXPECT_EQ(kernel.engine().CachedBlocks(), 0u);
   EXPECT_GT(kernel.engine().epoch(), epoch_before);
   EXPECT_GT(em.invalidations->value(), inval0);
+}
+
+// InvalidateAll between two slices of one running task: the task's next
+// dispatch must see the new engine epoch and look its text page up again
+// (re-decoding its blocks), not keep serving the dropped page from its
+// instruction TLB.
+TEST(EngineCache, InvalidateAllRetiresARunningTasksInstructionTlb) {
+  EngineMetrics& em = GetEngineMetrics();
+  ASSERT_OK_AND_ASSIGN(EngineWorld w, SetupWorld(EngineMode::kBlocks, kLoopProgram));
+  // Stop at the loop head: the head block is 7 instructions, the loop 5.
+  EXPECT_FALSE(w.kernel->RunTask(*w.task, 7 + 5 * 199).ok());
+  uint64_t decoded = em.blocks_decoded->value();
+  w.kernel->engine().InvalidateAll("test");
+  ASSERT_OK(w.kernel->RunTask(*w.task));
+  EXPECT_EQ(w.task->exit_code(), 0);
+  // The loop block again, and the exit block it had not reached.
+  EXPECT_EQ(em.blocks_decoded->value() - decoded, 2u);
+  EXPECT_EQ(w.kernel->engine().CachedBlocks(), 2u);
 }
 
 TEST(EngineCache, BlocksAreSharedAcrossTasksMappingTheSameFrames) {
@@ -875,6 +1023,162 @@ TEST_F(EngineInvalidationTest, UpgradeRepointInvalidatesCachedBlocks) {
 
   ASSERT_OK_AND_ASSIGN(int after, ExecAndRun("/bin/dynprog"));
   EXPECT_EQ(after, 51);
+}
+
+// Between two RunTask slices of one task, its text is unmapped and other
+// code is mapped at the same address. The instruction-TLB entry for that
+// page still names the old decoded page; only the map epoch says it is
+// stale, so the warm dispatch probe must check it.
+TEST(EngineCache, TextRemappedAtTheSameAddressIsNotServedStale) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile spin, Assemble(R"(
+.text
+.global _start
+_start:
+  movi r0, 1
+  br _start
+)", "spin.o"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile quit, Assemble(R"(
+.text
+.global _start
+_start:
+  movi r0, 2
+  sys 0
+)", "quit.o"));
+  LayoutSpec layout;
+  layout.entry_symbol = "_start";
+  ASSERT_OK_AND_ASSIGN(
+      LinkedImage first,
+      LinkImage(Module::FromObject(std::make_shared<const ObjectFile>(std::move(spin))), layout,
+                "spin"));
+  ASSERT_OK_AND_ASSIGN(
+      LinkedImage second,
+      LinkImage(Module::FromObject(std::make_shared<const ObjectFile>(std::move(quit))), layout,
+                "quit"));
+  ASSERT_EQ(first.text_base, second.text_base);
+  for (EngineMode mode : {EngineMode::kInterp, EngineMode::kBlocks}) {
+    Kernel kernel;
+    kernel.SetEngineMode(mode);
+    Task& task = kernel.CreateTask("remap");
+    ASSERT_OK(MapLinkedImage(kernel, task, first, ""));
+    std::vector<std::string> args{"remap"};
+    ASSERT_OK(StartTask(kernel, task, first.entry, args));
+    EXPECT_FALSE(kernel.RunTask(task, 100).ok());  // spins to the budget
+    ASSERT_OK(task.space().Unmap(first.text_base));
+    ASSERT_OK(kernel.MapPrivate(task, second.text_base,
+                                static_cast<uint32_t>(second.text.size()), second.text,
+                                kProtRead | kProtExec, "quit.text"));
+    task.set_pc(second.entry);
+    ASSERT_OK(kernel.RunTask(task, 100));
+    EXPECT_EQ(task.state(), TaskState::kExited);
+    EXPECT_EQ(task.exit_code(), 2);
+  }
+}
+
+// ---- Engine switches and libc updates on one idle server ---------------------
+
+// The benchmark's traced pass runs one server through every state the
+// engine's cross-block caches must survive: a switch to the interpreter and
+// back, and alternating libc redefinitions and live upgrades, each followed
+// by fresh execs. Every exec must match the same exec (first, cold, or
+// second, warm: a cold exec also bills the link) on a fresh server that runs
+// the interpreter and only ever saw the same libc version.
+struct ExecOutcome {
+  int exit_code = 0;
+  std::string output;
+  uint64_t user_cycles = 0;
+  uint64_t sys_cycles = 0;
+};
+
+const Workloads& LsWorkloads() {
+  static const Workloads* workloads = [] {
+    Result<Workloads> built = BuildWorkloads();
+    if (!built.ok()) {
+      std::abort();
+    }
+    return new Workloads(std::move(*built));
+  }();
+  return *workloads;
+}
+
+std::string LibcBlueprint(int version) {
+  std::string blueprint = "(constraint-list \"T\" 0x2000000)\n(merge /libc)";
+  return version == 0 ? blueprint : blueprint + "\n; revision b\n";
+}
+
+// ls over a constrained libc, and a lib-dynamic ls whose libc is the live
+// upgrade target.
+Result<void> DefineLsServer(OmosServer& server, int libc_version) {
+  const Workloads& w = LsWorkloads();
+  OMOS_TRY_VOID(server.AddFragment("/lib/crt0.o", w.crt0));
+  OMOS_TRY_VOID(server.AddFragment("/obj/ls.o", w.ls_obj));
+  OMOS_TRY_VOID(server.AddArchive("/libc", w.libc));
+  OMOS_TRY_VOID(server.DefineLibrary("/lib/libc", LibcBlueprint(libc_version)));
+  OMOS_TRY_VOID(server.DefineMeta("/bin/ls", "(merge /lib/crt0.o /obj/ls.o /lib/libc)"));
+  return server.DefineMeta(
+      "/bin/lsdyn", "(merge /lib/crt0.o /obj/ls.o (specialize \"lib-dynamic\" /lib/libc))");
+}
+
+Result<ExecOutcome> ExecLs(Kernel& kernel, OmosServer& server, const std::string& path) {
+  OMOS_TRY(TaskId id, server.IntegratedExec(path, {"ls", "/data"}));
+  Task* task = kernel.FindTask(id);
+  Result<void> ran = kernel.RunTask(*task);
+  ExecOutcome out{task->exit_code(), task->output(), task->user_cycles(), task->sys_cycles()};
+  server.ReleaseTask(id);
+  kernel.DestroyTask(id);
+  OMOS_TRY_VOID(ran);
+  return out;
+}
+
+Result<ExecOutcome> FreshServerExec(const std::string& path, int libc_version, bool warm) {
+  Kernel kernel;
+  kernel.SetEngineMode(EngineMode::kInterp);
+  PopulateLsData(kernel.fs());
+  OmosServer server(kernel);
+  OMOS_TRY_VOID(DefineLsServer(server, libc_version));
+  if (warm) {
+    OMOS_TRY_VOID(ExecLs(kernel, server, path));
+  }
+  return ExecLs(kernel, server, path);
+}
+
+TEST(EngineServer, EngineSwitchesAndLibcUpdatesMatchAFreshServer) {
+  Kernel kernel;
+  kernel.SetEngineMode(EngineMode::kBlocks);
+  PopulateLsData(kernel.fs());
+  OmosServer server(kernel);
+  ASSERT_OK(DefineLsServer(server, 0));
+  int version = 0;
+  auto expect_fresh = [&](const std::string& path, bool warm, const std::string& label) {
+    ASSERT_OK_AND_ASSIGN(ExecOutcome want, FreshServerExec(path, version, warm));
+    ASSERT_OK_AND_ASSIGN(ExecOutcome got, ExecLs(kernel, server, path));
+    EXPECT_EQ(got.exit_code, want.exit_code) << label;
+    EXPECT_EQ(got.output, want.output) << label;
+    EXPECT_EQ(got.user_cycles, want.user_cycles) << label;
+    EXPECT_EQ(got.sys_cycles, want.sys_cycles) << label;
+  };
+
+  expect_fresh("/bin/ls", false, "blocks");
+  kernel.SetEngineMode(EngineMode::kInterp);
+  expect_fresh("/bin/ls", true, "interp");
+  kernel.SetEngineMode(EngineMode::kBlocks);
+  expect_fresh("/bin/ls", true, "blocks again");
+
+  for (int update = 0; update < 8; ++update) {
+    version = 1 - version;
+    if (update % 2 == 0) {
+      ASSERT_OK(server.DefineLibrary("/lib/libc", LibcBlueprint(version)));
+    } else {
+      ASSERT_OK(server.BeginUpgrade("/lib/libc", LibcBlueprint(version)));
+      OmosServer::UpgradeStatus status = server.DrainUpgrade();
+      for (int round = 0; round < 64 && !status.terminal(); ++round) {
+        status = server.DrainUpgrade();
+      }
+      ASSERT_EQ(status.phase, UpgradePhase::kDone) << status.error;
+    }
+    const std::string path = update % 4 < 2 ? "/bin/ls" : "/bin/lsdyn";
+    expect_fresh(path, false, StrCat("update ", update, ", first ", path));
+    expect_fresh(path, true, StrCat("update ", update, ", second ", path));
+  }
 }
 
 // ---- Concurrency (run under TSan in CI) -------------------------------------
