@@ -45,6 +45,22 @@ bool SplitCacheKey(std::string_view key, std::string_view* path, std::string_vie
   return true;
 }
 
+LibDep LibDep::Of(const CachedImage& lib, std::string lib_path) {
+  return LibDep{lib.key, std::move(lib_path), lib.image.text_base, lib.image.data_base,
+                lib.content_sum};
+}
+
+bool LibDep::Matches(const CachedImage& lib) const {
+  return lib.image.text_base == text_base && lib.image.data_base == data_base &&
+         lib.content_sum == content_sum;
+}
+
+bool CachedImage::ReadsAny(const std::vector<std::string>& paths) const {
+  return std::any_of(paths.begin(), paths.end(), [&](const std::string& path) {
+    return std::binary_search(inputs.begin(), inputs.end(), path);
+  });
+}
+
 uint64_t CachedImage::PageSum(size_t page) const {
   // text and data are summed as one contiguous stream of pages.
   size_t begin = page * kSumPageSize;
@@ -81,6 +97,7 @@ void CachedImage::ComputeSums() {
     page_sums[p] = PageSum(p);
   }
   layout_sum = LayoutSum();
+  content_sum = HashBytes(page_sums.data(), page_sums.size() * sizeof(uint64_t), pages);
 }
 
 bool CachedImage::VerifyPage(size_t page) const {
@@ -219,7 +236,7 @@ const CachedImage* ImageCache::Get(const std::string& key) {
     ++stats_.corruption_rebuilds;
     ++stats_.misses;
     TraceInstant("cache.corrupt", key);
-    Evict(key);
+    Evict(key, pinned.get());
     return nullptr;
   }
   ++stats_.hits;
@@ -239,18 +256,6 @@ bool ImageCache::Contains(const std::string& key) const {
   return shard.entries.count(key) != 0;
 }
 
-std::vector<std::string> ImageCache::Keys() const {
-  std::vector<std::string> keys;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      keys.push_back(key);
-    }
-  }
-  std::sort(keys.begin(), keys.end());  // shard order is hash order; stabilize
-  return keys;
-}
-
 size_t ImageCache::entry_count() const {
   size_t count = 0;
   for (const Shard& shard : shards_) {
@@ -260,7 +265,8 @@ size_t ImageCache::entry_count() const {
   return count;
 }
 
-const CachedImage* ImageCache::Put(std::string key, CachedImage image) {
+const CachedImage* ImageCache::Put(std::string key, CachedImage image,
+                                   const std::atomic<uint64_t>* generation, uint64_t stamp) {
   auto owned = std::make_shared<CachedImage>(std::move(image));
   owned->key = key;
   // Sums and the symbol index are built outside any lock: both are O(image)
@@ -273,6 +279,11 @@ const CachedImage* ImageCache::Put(std::string key, CachedImage image) {
   std::shared_ptr<CachedImage> replaced;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
+    if (generation != nullptr && generation->load(std::memory_order_acquire) != stamp) {
+      TraceInstant("cache.stale_put", key);
+      Retire(std::move(owned), /*park=*/true);
+      return result;
+    }
     auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
       // Replacement is an eviction of the old bytes.
@@ -302,36 +313,66 @@ const CachedImage* ImageCache::Put(std::string key, CachedImage image) {
   return result;
 }
 
-void ImageCache::Evict(const std::string& key) {
+std::shared_ptr<CachedImage> ImageCache::EraseLocked(Shard& shard,
+                                                     std::map<std::string, Entry>::iterator it) {
+  stats_.bytes_cached -= it->second.image->bytes();
+  ++stats_.evictions;
+  TraceInstant("cache.evict", it->first);
+  {
+    std::lock_guard<std::mutex> lru_lock(lru_mu_);
+    lru_.erase(it->second.lru_it);
+  }
+  std::shared_ptr<CachedImage> image = std::move(it->second.image);
+  shard.entries.erase(it);
+  return image;
+}
+
+void ImageCache::Evict(const std::string& key, const CachedImage* only) {
   Shard& shard = ShardFor(key);
   std::shared_ptr<CachedImage> victim;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
+    if (it == shard.entries.end() || (only != nullptr && it->second.image.get() != only)) {
       return;
     }
-    stats_.bytes_cached -= it->second.image->bytes();
-    ++stats_.evictions;
-    TraceInstant("cache.evict", key);
-    {
-      std::lock_guard<std::mutex> lru_lock(lru_mu_);
-      lru_.erase(it->second.lru_it);
-    }
-    victim = std::move(it->second.image);
-    shard.entries.erase(it);
+    victim = EraseLocked(shard, it);
   }
   Retire(std::move(victim));
 }
 
-void ImageCache::Retire(std::shared_ptr<CachedImage> image) {
+std::vector<std::string> ImageCache::EvictIf(
+    const std::function<bool(const CachedImage&)>& stale) {
+  std::vector<std::string> evicted;
+  for (Shard& shard : shards_) {
+    std::vector<std::shared_ptr<CachedImage>> victims;
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      for (auto it = shard.entries.begin(); it != shard.entries.end();) {
+        auto next = std::next(it);
+        if (stale(*it->second.image)) {
+          evicted.push_back(it->first);
+          victims.push_back(EraseLocked(shard, it));
+        }
+        it = next;
+      }
+    }
+    for (std::shared_ptr<CachedImage>& victim : victims) {
+      Retire(std::move(victim));
+    }
+  }
+  std::sort(evicted.begin(), evicted.end());
+  return evicted;
+}
+
+void ImageCache::Retire(std::shared_ptr<CachedImage> image, bool park) {
   if (image == nullptr) {
     return;
   }
   // A lease opened before this eviction may still hold the raw pointer;
   // park the image until every lease closes. With no lease open the image
   // dies here (single-threaded behavior unchanged).
-  if (readers_.load(std::memory_order_acquire) != 0) {
+  if (park || readers_.load(std::memory_order_acquire) != 0) {
     std::lock_guard<std::mutex> lock(retired_mu_);
     retired_.push_back(std::move(image));
   }

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -68,16 +69,29 @@ struct StubSlot {
   std::string symbol;
 };
 
-// A resolved library dependency of a cached program image.
+struct CachedImage;
+
+// A resolved library dependency of a cached program image, with the
+// identity of the version the program was linked against: its bases and a
+// sum of its bytes. A rebuilt library that landed elsewhere or links to
+// other bytes no longer matches, and the program is stale.
 struct LibDep {
   std::string cache_key;  // key of the library's own cached image
   std::string lib_path;
+  uint32_t text_base = 0;
+  uint32_t data_base = 0;
+  uint64_t content_sum = 0;
+
+  static LibDep Of(const CachedImage& lib, std::string lib_path);
+  bool Matches(const CachedImage& lib) const;
 };
 
 // One cached, mappable image: the linked bytes plus the shareable text
 // segment (built once), plus whatever the exec path needs to finish the job
-// (library deps to map, stub slots to register).
-struct CachedImage {
+// (library deps to map, stub slots to register). Cache-owned images are
+// shared_ptr-managed; a running task pins a library version it mapped with
+// shared_from_this().
+struct CachedImage : std::enable_shared_from_this<CachedImage> {
   std::string key;
   LinkedImage image;
   std::optional<SegmentImage> text_seg;
@@ -92,6 +106,10 @@ struct CachedImage {
   // validity stamp). Folded into LayoutSum so a rotted stamp is caught like
   // any other layout-field corruption.
   uint64_t layout_generation = 0;
+  // Every namespace path the build read, sorted: the names it evaluated,
+  // the inputs of each library it bound, or the store fingerprint's
+  // closure for an adopted image. Redefining any of them makes it stale.
+  std::vector<std::string> inputs;
 
   // Integrity sums, set by Put. The linked bytes (text then data, viewed as
   // one stream) are summed per 4 KiB page; the layout fields get their own
@@ -100,6 +118,8 @@ struct CachedImage {
   // cached copy rotted and must be rebuilt from its blueprint.
   std::vector<uint64_t> page_sums;
   uint64_t layout_sum = 0;
+  // Sum over page_sums: the bytes' identity, recorded in LibDep.
+  uint64_t content_sum = 0;
 
   void ComputeSums();
   // Recomputes the sum of page `page` (an index into page_sums).
@@ -110,6 +130,8 @@ struct CachedImage {
   bool VerifyPage(size_t page) const;
   // Recomputes and compares everything. O(bytes).
   bool VerifyAll() const;
+  // Whether the build read any of `paths` (both sorted).
+  bool ReadsAny(const std::vector<std::string>& paths) const;
 
   uint32_t bytes() const {
     return static_cast<uint32_t>(image.text.size() + image.data.size());
@@ -167,13 +189,24 @@ class ImageCache {
 
   // Lookup; bumps LRU and hit/miss counters. Verification runs unlocked.
   const CachedImage* Get(const std::string& key);
-  // Lookup without touching LRU or statistics (introspection/invalidation).
+  // Lookup without touching LRU or statistics (introspection).
   const CachedImage* Peek(const std::string& key) const;
   bool Contains(const std::string& key) const;
-  std::vector<std::string> Keys() const;
 
-  const CachedImage* Put(std::string key, CachedImage image);
-  void Evict(const std::string& key);
+  // Inserts `image` under `key` and returns it. With `generation`, the image
+  // is a build that read its inputs at generation `stamp`: it is cached only
+  // if *generation still equals `stamp`, compared under the shard lock, so
+  // an EvictIf walk that starts after a bump cannot miss it. A stale image
+  // is returned to its builder uncached, parked like an evicted entry:
+  // valid while the builder's ReadLease is open.
+  const CachedImage* Put(std::string key, CachedImage image,
+                         const std::atomic<uint64_t>* generation = nullptr, uint64_t stamp = 0);
+  // Evicts `key`; with `only`, only while that exact image is cached there.
+  void Evict(const std::string& key, const CachedImage* only = nullptr);
+  // The one eviction walk: evicts every entry `stale` selects, one shard
+  // lock at a time (the predicate sees each image under its shard lock).
+  // Returns the evicted keys, sorted.
+  std::vector<std::string> EvictIf(const std::function<bool(const CachedImage&)>& stale);
 
   // ---- Single-flight miss deduplication -----------------------------------
   // After a missed Get, call JoinBuild: the first caller becomes the
@@ -225,9 +258,12 @@ class ImageCache {
   Shard& ShardFor(const std::string& key);
   const Shard& ShardFor(const std::string& key) const;
   void TrimToCapacity();
-  // Parks an evicted image on the retired list while any lease is open
-  // (destroys it immediately otherwise). Null is a no-op.
-  void Retire(std::shared_ptr<CachedImage> image);
+  // Unlinks `it` from `shard` (shard lock held) and returns its image.
+  std::shared_ptr<CachedImage> EraseLocked(Shard& shard,
+                                           std::map<std::string, Entry>::iterator it);
+  // Parks an evicted image on the retired list while any lease is open, or
+  // always with `park`; destroys it immediately otherwise. Null is a no-op.
+  void Retire(std::shared_ptr<CachedImage> image, bool park = false);
   void DrainRetired() const;
 
   uint64_t capacity_bytes_;

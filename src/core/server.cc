@@ -23,6 +23,24 @@ namespace omos {
 namespace {
 
 constexpr int kMaxEvalDepth = 64;
+
+// One namespace mutation (see OmosServer::namespace_generation). It holds
+// the admin lock, so mutations never overlap, and the generation is odd
+// from construction to destruction, so a build that overlaps the mutation
+// in any way finds its stamp stale.
+class NamespaceMutation {
+ public:
+  NamespaceMutation(std::mutex& admin_mu, std::atomic<uint64_t>& generation)
+      : lock_(admin_mu), generation_(generation) {
+    generation_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  ~NamespaceMutation() { generation_.fetch_add(1, std::memory_order_acq_rel); }
+
+ private:
+  std::lock_guard<std::mutex> lock_;
+  std::atomic<uint64_t>& generation_;
+};
+
 // Simulated cycles to assemble one line of generated source.
 constexpr uint64_t kAssembleLineCost = 40;
 
@@ -97,60 +115,16 @@ OmosServer::~OmosServer() {
   optimizer_->server = nullptr;
 }
 
-void OmosServer::InvalidateImagesOf(std::string_view path) {
-  std::string norm = OmosNamespace::Normalize(path);
-  // Seed: the path's own cached images, plus images of every meta-object
-  // whose blueprint mentions the path.
-  std::set<std::string> victim_paths{norm};
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    // Propagate through library-dependency edges recorded in cached images.
-    for (const std::string& key : cache_.Keys()) {
+void OmosServer::InvalidateImagesOf(const std::vector<std::string>& paths) {
+  std::vector<std::string> evicted = EvictStale(paths, {});
+  std::set<std::string> victim_paths(paths.begin(), paths.end());
+  {
+    std::lock_guard<std::mutex> lock(solver_mu_);
+    for (const std::string& key : evicted) {
+      solver_.Release(key);
       std::string_view path_part = key;
       SplitCacheKey(key, &path_part, nullptr);
-      std::string key_path(path_part);
-      if (victim_paths.count(key_path) != 0) {
-        continue;
-      }
-      const CachedImage* image = cache_.Peek(key);
-      if (image == nullptr) {
-        continue;
-      }
-      for (const LibDep& dep : image->deps) {
-        std::string_view dep_part = dep.cache_key;
-        SplitCacheKey(dep.cache_key, &dep_part, nullptr);
-        std::string dep_path(dep_part);
-        if (victim_paths.count(dep_path) != 0 || victim_paths.count(dep.lib_path) != 0) {
-          victim_paths.insert(key_path);
-          grew = true;
-          break;
-        }
-      }
-    }
-  }
-  // Also: metas whose blueprint text references a victim path directly
-  // (fragment redefinition has no dep edge).
-  // One extra pass is enough because their images carry the meta's path.
-  for (const std::string& key : cache_.Keys()) {
-    std::string_view path_part = key;
-    SplitCacheKey(key, &path_part, nullptr);
-    std::string key_path(path_part);
-    auto entry = namespace_.Lookup(key_path);
-    if (entry.ok() && (*entry)->blueprint_text.find(norm) != std::string::npos) {
-      victim_paths.insert(key_path);
-    }
-  }
-  for (const std::string& key : cache_.Keys()) {
-    std::string_view path_part = key;
-    SplitCacheKey(key, &path_part, nullptr);
-    std::string key_path(path_part);
-    if (victim_paths.count(key_path) != 0) {
-      {
-        std::lock_guard<std::mutex> lock(solver_mu_);
-        solver_.Release(key);
-      }
-      cache_.Evict(key);
+      victim_paths.emplace(path_part);
     }
   }
   // Persisted images of the victims are stale too. Space management only:
@@ -165,12 +139,10 @@ void OmosServer::InvalidateImagesOf(std::string_view path) {
   // and aliases so the rebuilt image earns optimization afresh.
   {
     std::lock_guard<std::mutex> lock(optimizer_->mu);
-    for (const std::string& victim : victim_paths) {
-      std::string prefix = victim + std::string(kCacheKeySep);
-      auto stale = [&](const std::string& key) { return StartsWith(key, prefix); };
-      std::erase_if(optimizer_->warm_hits, [&](const auto& kv) { return stale(kv.first); });
-      std::erase_if(optimizer_->attempted, stale);
-      std::erase_if(optimizer_->alias, [&](const auto& kv) { return stale(kv.first); });
+    for (const std::string& key : evicted) {
+      optimizer_->warm_hits.erase(key);
+      optimizer_->attempted.erase(key);
+      optimizer_->alias.erase(key);
     }
   }
   // Predecoded blocks of the victims' text are stale the moment a rebuilt
@@ -180,38 +152,50 @@ void OmosServer::InvalidateImagesOf(std::string_view path) {
   kernel_->engine().InvalidateAll("redefine");
 }
 
+Result<void> OmosServer::Redefine(std::vector<std::string> paths,
+                                  const std::function<Result<void>()>& update) {
+  for (std::string& path : paths) {
+    path = OmosNamespace::Normalize(path);
+  }
+  std::sort(paths.begin(), paths.end());
+  // The update and the eviction walk are one mutation. A build that
+  // overlaps either is not cached, so a placement the walk releases is never
+  // one that a freshly cached image reuses.
+  NamespaceMutation mutation(admin_mu_, namespace_generation_);
+  Result<void> updated = update();
+  InvalidateImagesOf(paths);
+  return updated;
+}
+
 Result<void> OmosServer::DefineMeta(std::string_view path, std::string_view blueprint) {
-  std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf(path);
-  BumpNamespaceGeneration();
-  return namespace_.DefineMeta(path, blueprint, EntryKind::kMeta);
+  return Redefine({std::string(path)},
+                  [&] { return namespace_.DefineMeta(path, blueprint, EntryKind::kMeta); });
 }
 
 Result<void> OmosServer::DefineLibrary(std::string_view path, std::string_view blueprint) {
-  std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf(path);
-  BumpNamespaceGeneration();
-  return namespace_.DefineMeta(path, blueprint, EntryKind::kLibrary);
+  return Redefine({std::string(path)},
+                  [&] { return namespace_.DefineMeta(path, blueprint, EntryKind::kLibrary); });
 }
 
 Result<void> OmosServer::AddFragment(std::string_view path, ObjectFile object) {
-  std::lock_guard<std::mutex> lock(admin_mu_);
-  InvalidateImagesOf(path);
-  BumpNamespaceGeneration();
-  return namespace_.AddFragment(path, std::move(object));
+  return Redefine({std::string(path)},
+                  [&] { return namespace_.AddFragment(path, std::move(object)); });
 }
 
 Result<void> OmosServer::AddArchive(std::string_view dir, const Archive& archive) {
-  std::lock_guard<std::mutex> lock(admin_mu_);
-  BumpNamespaceGeneration();
+  std::vector<std::string> paths{std::string(dir)};
   std::string meta = "(merge";
   for (const ObjectFile& member : archive.members()) {
-    std::string path = StrCat(dir, "/", member.name());
-    OMOS_TRY_VOID(namespace_.AddFragment(path, member));
-    meta += " " + path;
+    paths.push_back(StrCat(dir, "/", member.name()));
+    meta += " " + paths.back();
   }
   meta += ")";
-  return namespace_.DefineMeta(dir, meta, EntryKind::kMeta);
+  return Redefine(paths, [&]() -> Result<void> {
+    for (size_t i = 1; i < paths.size(); ++i) {
+      OMOS_TRY_VOID(namespace_.AddFragment(paths[i], archive.members()[i - 1]));
+    }
+    return namespace_.DefineMeta(dir, meta, EntryKind::kMeta);
+  });
 }
 
 // ---- Blueprint evaluation ---------------------------------------------------
@@ -254,6 +238,7 @@ Result<Module> OmosServer::MergeValues(std::vector<EvalValue> values, EvalValue&
 
 Result<OmosServer::EvalValue> OmosServer::EvalName(const std::string& name, BuildTracker& tracker,
                                                    int depth) {
+  tracker.inputs.insert(OmosNamespace::Normalize(name));
   OMOS_TRY(const NamespaceEntry* entry, namespace_.Lookup(name));
   EvalValue value;
   switch (entry->kind) {
@@ -507,6 +492,7 @@ void OmosServer::ChargeLinkWork(const LinkStats& stats, uint32_t symbol_count,
 }
 
 Result<Module> OmosServer::BuildMonolithicModule(const std::string& path, BuildTracker& tracker) {
+  tracker.inputs.insert(OmosNamespace::Normalize(path));
   OMOS_TRY(const NamespaceEntry* entry, namespace_.Lookup(path));
   if (entry->kind == EntryKind::kFragment) {
     return Module::FromObject(entry->fragment);
@@ -526,6 +512,7 @@ Result<Module> OmosServer::BuildMonolithicModule(const std::string& path, BuildT
     if (!seen.insert(use.path).second) {
       continue;
     }
+    tracker.inputs.insert(use.path);
     OMOS_TRY(const NamespaceEntry* lib, namespace_.Lookup(use.path));
     if (lib->kind == EntryKind::kFragment) {
       OMOS_TRY(m, Module::Merge(m, Module::FromObject(lib->fragment)));
@@ -603,27 +590,38 @@ Result<const CachedImage*> OmosServer::Instantiate(const std::string& path,
     // first-hand error — or a success, if the failure was transient (e.g. a
     // redefinition raced the build).
   }
+  // The lease keeps the images this build binds (and the one it returns, if
+  // the namespace moved under it and it is not cached) valid while it runs,
+  // even if a racing redefinition evicts them.
+  ImageCache::ReadLease lease(cache_);
   BuildTracker tracker;
+  tracker.stamp = BuildStamp();
+  // The store fingerprint is taken once, before anything is evaluated, so
+  // the probe and the publish name the same inputs.
+  std::optional<uint64_t> fingerprint;
+  if (store_ != nullptr && StorableSpec(spec)) {
+    fingerprint = StoreFingerprint(norm, spec, tracker.inputs);
+  }
   auto result = [&]() -> Result<const CachedImage*> {
     // Second tier: a persisted image linked from identical inputs adopts
     // straight into the cache — no evaluation, no relocation.
-    if (store_ != nullptr && StorableSpec(spec)) {
-      if (const CachedImage* adopted = TryAdoptFromStore(norm, spec, key, tracker)) {
+    if (fingerprint.has_value()) {
+      if (const CachedImage* adopted = TryAdoptFromStore(key, *fingerprint, tracker)) {
         return adopted;
       }
     }
     auto built = BuildImage(path, spec, key, tracker);
     *linked = built.ok();
-    if (built.ok() && store_ != nullptr && StorableSpec(spec)) {
-      // The lease keeps *built valid across the publish even if a racing
-      // redefinition evicts the entry underneath us.
-      ImageCache::ReadLease lease(cache_);
-      PublishToStore(norm, spec, **built, tracker);
-    }
     return built;
   }();
+  // A build the namespace moved under belongs to its caller alone: Put did
+  // not cache it, and it is neither published nor handed to followers.
+  bool current = result.ok() && namespace_generation() == tracker.stamp;
+  if (current && *linked && fingerprint.has_value()) {
+    PublishToStore(*fingerprint, **result, tracker);
+  }
   if (join.leader) {
-    cache_.FinishBuild(key, result.ok() ? *result : nullptr);
+    cache_.FinishBuild(key, current ? *result : nullptr);
   }
   if (work_cycles != nullptr) {
     *work_cycles += tracker.work;
@@ -759,6 +757,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
                                                   const std::string& key,
                                                   BuildTracker& tracker) {
   TraceSpan trace("server.build_image", key);
+  tracker.inputs.insert(OmosNamespace::Normalize(path));
   OMOS_TRY(const NamespaceEntry* entry, namespace_.Lookup(path));
 
   EvalValue value;
@@ -852,6 +851,7 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
       Specialization impl_spec = lib_spec;
       impl_spec.name = "lib-dynamic-impl";
       OMOS_TRY(const CachedImage* impl, Instantiate(use.path, impl_spec, &tracker.work));
+      tracker.inputs.insert(impl->inputs.begin(), impl->inputs.end());
       std::string impl_key = impl->key;
       // Stubs for each referenced entry point present in the library (§4.2).
       OMOS_TRY(std::vector<std::string> wanted, client.UnboundRefNames());
@@ -871,13 +871,14 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
         slot.lib_path = impl_key;  // runtime resolves through the cache key
         slots.push_back(std::move(slot));
       }
-      deps.push_back(LibDep{impl_key, use.path});  // lazy: not mapped at exec
+      deps.push_back(LibDep::Of(*impl, use.path));  // lazy: not mapped at exec
     } else {
       OMOS_TRY(const CachedImage* lib, Instantiate(use.path, lib_spec, &tracker.work));
+      tracker.inputs.insert(lib->inputs.begin(), lib->inputs.end());
       for (const ImageSymbol& sym : lib->image.symbols) {
         externals.emplace(sym.name, sym.addr);
       }
-      deps.push_back(LibDep{lib->key, use.path});
+      deps.push_back(LibDep::Of(*lib, use.path));
     }
   }
   bool has_lazy = !slots.empty();
@@ -942,7 +943,8 @@ Result<const CachedImage*> OmosServer::BuildImage(const std::string& path,
   }
   cached.build_cost = tracker.work;
   cached.layout_generation = placement.generation;
-  return cache_.Put(key, std::move(cached));
+  cached.inputs.assign(tracker.inputs.begin(), tracker.inputs.end());
+  return cache_.Put(key, std::move(cached), &namespace_generation_, tracker.stamp);
 }
 
 Result<void> OmosServer::MaterializeSegments(CachedImage& cached) {
@@ -1003,8 +1005,8 @@ void CollectMentionedPaths(const Sexpr& expr, std::vector<std::string>& out) {
 
 }  // namespace
 
-Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
-                                              const Specialization& spec) const {
+uint64_t OmosServer::StoreFingerprint(const std::string& norm, const Specialization& spec,
+                                      std::set<std::string>& closure) const {
   FingerprintStream fp;
   fp.Str("omos-store-v2");
   fp.Str(norm);
@@ -1043,22 +1045,18 @@ Result<uint64_t> OmosServer::StoreFingerprint(const std::string& norm,
       CollectMentionedPaths(entry->construction, work);
     }
   }
+  closure.insert(seen.begin(), seen.end());
   return fp.h;
 }
 
-const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
-                                                 const Specialization& spec,
-                                                 const std::string& key,
+const CachedImage* OmosServer::TryAdoptFromStore(const std::string& key, uint64_t fingerprint,
                                                  BuildTracker& tracker) {
-  auto fingerprint = StoreFingerprint(norm, spec);
-  if (!fingerprint.ok()) {
-    return nullptr;
-  }
-  auto probe = store_->Get(key, *fingerprint, &tracker.work);
+  auto probe = store_->Get(key, fingerprint, &tracker.work);
   if (!probe.ok() || !probe->has_value()) {
     return nullptr;
   }
   StoreRecord record = std::move(**probe);
+  CachedImage cached;
   // The stored program bytes bake in each dependency's addresses; every dep
   // must land exactly where it was when the record was written. A restored
   // placement snapshot makes this deterministic; anything else falls back
@@ -1072,6 +1070,8 @@ const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
       MetricsRegistry::Global().GetCounter("store.dep_mismatches")->Add();
       return nullptr;
     }
+    tracker.inputs.insert((*lib)->inputs.begin(), (*lib)->inputs.end());
+    cached.deps.push_back(LibDep::Of(**lib, dep.lib_path));
   }
   // Re-reserve the image's own bases. Place() reuses an existing placement
   // record for the same object and sizes, so after RestoreFromStore this is
@@ -1094,45 +1094,32 @@ const CachedImage* OmosServer::TryAdoptFromStore(const std::string& norm,
     }
     placement_generation = placed->generation;
   }
-  CachedImage cached;
   cached.image = std::move(record.image);
-  cached.deps.reserve(record.deps.size());
-  for (const StoredDep& dep : record.deps) {
-    cached.deps.push_back(LibDep{dep.cache_key, dep.lib_path});
-  }
   cached.stub_slots.reserve(record.stub_slots.size());
   for (const StoredStubSlot& slot : record.stub_slots) {
     cached.stub_slots.push_back(StubSlot{slot.index, slot.slot_symbol, slot.lib_path, slot.symbol});
   }
   cached.build_cost = record.build_cost;
   cached.layout_generation = placement_generation;
+  cached.inputs.assign(tracker.inputs.begin(), tracker.inputs.end());
   if (!MaterializeSegments(cached).ok()) {
     return nullptr;  // out of frames; the cold path will report properly
   }
   TraceInstant("store.adopt", key);
-  return cache_.Put(key, std::move(cached));
+  return cache_.Put(key, std::move(cached), &namespace_generation_, tracker.stamp);
 }
 
-void OmosServer::PublishToStore(const std::string& norm, const Specialization& spec,
-                                const CachedImage& image, BuildTracker& tracker) {
-  auto fingerprint = StoreFingerprint(norm, spec);
-  if (!fingerprint.ok()) {
-    return;
-  }
+void OmosServer::PublishToStore(uint64_t fingerprint, const CachedImage& image,
+                                BuildTracker& tracker) {
   StoreRecord record;
   record.cache_key = image.key;
-  record.fingerprint = *fingerprint;
+  record.fingerprint = fingerprint;
   record.image = image.image;
   record.deps.reserve(image.deps.size());
   for (const LibDep& dep : image.deps) {
-    StoredDep stored{dep.cache_key, dep.lib_path, 0, 0};
-    // Lazy deps are keyed by the impl image; either way the dep's cached
-    // image carries the bases the program was linked against.
-    if (const CachedImage* lib = cache_.Peek(dep.cache_key)) {
-      stored.text_base = lib->image.text_base;
-      stored.data_base = lib->image.data_base;
-    }
-    record.deps.push_back(std::move(stored));
+    // Lazy deps are keyed by the impl image; either way the dep carries the
+    // bases the program was linked against.
+    record.deps.push_back(StoredDep{dep.cache_key, dep.lib_path, dep.text_base, dep.data_base});
   }
   record.stub_slots.reserve(image.stub_slots.size());
   for (const StubSlot& slot : image.stub_slots) {
@@ -1171,35 +1158,43 @@ Result<void> MapCachedImage(Kernel& kernel, Task& task, const CachedImage& image
   return MapLinkedImage(kernel, task, image.image, "");
 }
 
+// Lazy deps (partial-image libraries) map on first call via kSysDload.
+bool IsLazyDep(const CachedImage& program, const LibDep& dep) {
+  return std::any_of(program.stub_slots.begin(), program.stub_slots.end(),
+                     [&](const StubSlot& slot) { return slot.lib_path == dep.cache_key; });
+}
+
 }  // namespace
 
 Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) {
   TraceSpan trace("server.map_program", program.key);
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    OMOS_TRY_VOID(MapCachedImage(*kernel_, task, program));
+  // Get every dep before mapping anything. An evicted or rotted library
+  // image is rebuilt, not a fatal error; the rebuild reuses the old
+  // placement, so it matches the program's dep. One that was redefined or
+  // moved does not: the program is stale.
+  std::vector<const CachedImage*> libs;
+  uint64_t rebuild_work = 0;
+  for (const LibDep& dep : program.deps) {
+    OMOS_TRY(const CachedImage* lib, GetOrRebuild(dep.cache_key, &rebuild_work));
+    if (!dep.Matches(*lib)) {
+      return Err(ErrorCode::kUnavailable,
+                 StrCat(program.key, ": ", dep.lib_path, " changed since it was linked"));
+    }
+    libs.push_back(lib);
   }
   TaskRuntime runtime;
   runtime.program_key = program.key;
-  for (const LibDep& dep : program.deps) {
-    // Lazy deps (partial-image libraries) map on first call via kSysDload.
-    bool lazy = false;
-    for (const StubSlot& slot : program.stub_slots) {
-      if (slot.lib_path == dep.cache_key) {
-        lazy = true;
-        break;
-      }
-    }
-    if (lazy) {
-      continue;
-    }
-    // An evicted or rotted library image is rebuilt, not a fatal error; the
-    // rebuild reuses the old placement so the program's references stay valid.
-    uint64_t rebuild_work = 0;
-    OMOS_TRY(const CachedImage* lib, GetOrRebuild(dep.cache_key, &rebuild_work));
+  {
     std::lock_guard<std::mutex> lock(kernel_mu_);
     task.BillSys(rebuild_work);
-    OMOS_TRY_VOID(MapCachedImage(*kernel_, task, *lib));
+    OMOS_TRY_VOID(MapCachedImage(*kernel_, task, program));
+    for (size_t i = 0; i < libs.size(); ++i) {
+      if (IsLazyDep(program, program.deps[i])) {
+        runtime.lazy_libs.emplace(program.deps[i].cache_key, libs[i]->shared_from_this());
+      } else {
+        OMOS_TRY_VOID(MapCachedImage(*kernel_, task, *libs[i]));
+      }
+    }
   }
   for (const StubSlot& slot : program.stub_slots) {
     const ImageSymbol* sym = program.image.FindSymbol(slot.slot_symbol);
@@ -1218,9 +1213,11 @@ Result<uint32_t> OmosServer::MapProgram(Task& task, const CachedImage& program) 
 }
 
 void OmosServer::ReleaseTask(TaskId id) {
+  // Dropped after runtimes_mu_: the last pin of an evicted image frees it.
+  decltype(runtimes_)::node_type released;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
-    runtimes_.erase(id);
+    released = runtimes_.extract(id);
   }
   // A released task can no longer execute old-version code: take it out of
   // any in-flight upgrade's pending set (and reclaim if it was the last).
@@ -1339,9 +1336,7 @@ void OmosServer::RunUpgradeLink(std::shared_ptr<UpgradeJob> job) {
   }
   const CachedImage* old_impl = *old_or;
   // Symbols the new version dropped degrade to availability-check stubs
-  // (return kUpgradeUnavailable) instead of faulting. The stub image lives
-  // under a path that does not embed job->path, so the reclaim-phase
-  // redefinition's blueprint-text sweep cannot evict it from under a task.
+  // (return kUpgradeUnavailable) instead of faulting.
   std::vector<std::string> deleted = DeletedTextSymbols(old_impl->image, new_impl->image);
   if (!deleted.empty()) {
     std::string degrade_dir = StrCat("/.upgrade/v", job->id);
@@ -1548,7 +1543,8 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
     if (it == runtimes_.end()) {
       return defer();  // released concurrently; ReleaseTask drops it from pending
     }
-    first_contact = it->second.mapped_libs.insert(job->new_impl_key).second;
+    first_contact = it->second.mapped_libs.emplace(job->new_impl_key, new_impl->shared_from_this())
+                        .second;
   }
   if (first_contact) {
     {
@@ -1563,20 +1559,8 @@ Result<void> OmosServer::TryTransferTask(Kernel& kernel, Task& task,
       OMOS_TRY_VOID(task.space().WriteBytes(carry.new_addr, bytes.data(), carry.size));
     }
   }
-  bool need_degrade = false;
   if (!job->degrade_key.empty()) {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it != runtimes_.end()) {
-      need_degrade = it->second.mapped_libs.insert(job->degrade_key).second;
-    }
-  }
-  if (need_degrade) {
-    auto stubs = GetOrRebuild(job->degrade_key, &rebuild_work);
-    if (stubs.ok()) {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      OMOS_TRY_VOID(MapCachedImage(kernel, task, **stubs));
-    }
+    OMOS_TRY_VOID(MapPinned(task, job->degrade_key, &rebuild_work));
   }
   // Point of no return: apply the planned rewrites. All writes hit this
   // task's own registers and private pages, on this task's own thread.
@@ -1894,47 +1878,64 @@ PrelinkMetrics& PrelinkStats() {
   return *metrics;
 }
 
+// Execs that found their program linked against a library version no
+// longer cached, and linked it again.
+Counter* StaleProgramCount() {
+  static Counter* counter = MetricsRegistry::Global().GetCounter("server.stale_programs");
+  return counter;
+}
+
 }  // namespace
 
 Result<uint32_t> OmosServer::LoadProgram(Task& task, const std::string& path,
                                          const Specialization& spec, ExecLookup lookup) {
   ImageCache::ReadLease lease(cache_);  // pins *image across MapProgram
-  uint64_t work = 0;
-  bool linked = false;
-  OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work, &linked));
-  uint64_t lookup_cost = kernel_->costs().omos_cache_lookup;
-  if (lookup == ExecLookup::kPrelink) {
-    // The stamp compare IS the validity check: the image's relocations were
-    // applied at its layout_generation; while the solver still reports that
-    // generation for the key, every address baked into the image is current
-    // and the map below performs zero relocations.
-    bool current;
-    {
-      std::lock_guard<std::mutex> lock(solver_mu_);
-      current = image->layout_generation != 0 &&
-                solver_.GenerationOf(image->key) == image->layout_generation;
-    }
-    if (!linked && current) {
-      PrelinkStats().hits->Add();
-      lookup_cost = kernel_->costs().prelink_lookup;
-    } else {
-      PrelinkStats().misses->Add();
-      if (!linked) {
-        // A cached image linked at a layout that has since moved: serve it
-        // like an integrated exec would, and let the idle lane re-link it
-        // at its new home.
-        PrelinkStats().stale->Add();
-        if (prelink_enabled()) {
-          SchedulePrelinkRepair();
+  for (int attempt = 0;; ++attempt) {
+    uint64_t work = 0;
+    bool linked = false;
+    OMOS_TRY(const CachedImage* image, Instantiate(path, spec, &work, &linked));
+    uint64_t lookup_cost = kernel_->costs().omos_cache_lookup;
+    if (lookup == ExecLookup::kPrelink) {
+      // The stamp compare IS the validity check: the image's relocations were
+      // applied at its layout_generation; while the solver still reports that
+      // generation for the key, every address baked into the image is current
+      // and the map below performs zero relocations.
+      bool current;
+      {
+        std::lock_guard<std::mutex> lock(solver_mu_);
+        current = image->layout_generation != 0 &&
+                  solver_.GenerationOf(image->key) == image->layout_generation;
+      }
+      if (!linked && current) {
+        PrelinkStats().hits->Add();
+        lookup_cost = kernel_->costs().prelink_lookup;
+      } else {
+        PrelinkStats().misses->Add();
+        if (!linked) {
+          // A cached image linked at a layout that has since moved: serve it
+          // like an integrated exec would, and let the idle lane re-link it
+          // at its new home.
+          PrelinkStats().stale->Add();
+          if (prelink_enabled()) {
+            SchedulePrelinkRepair();
+          }
         }
       }
     }
+    {
+      std::lock_guard<std::mutex> lock(kernel_mu_);
+      task.BillSys(work + lookup_cost);
+    }
+    Result<uint32_t> entry = MapProgram(task, *image);
+    if (entry.ok() || entry.error().code() != ErrorCode::kUnavailable || attempt == 1) {
+      return entry;
+    }
+    // A library moved on since this version of the program linked against
+    // it, and MapProgram mapped nothing: drop that version (only it, a newer
+    // one may already be cached) and link again, once.
+    StaleProgramCount()->Add();
+    cache_.Evict(image->key, image);
   }
-  {
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    task.BillSys(work + lookup_cost);
-  }
-  return MapProgram(task, *image);
 }
 
 // ---- Fleet-wide prelink -------------------------------------------------------
@@ -1974,45 +1975,31 @@ void OmosServer::RunPrelinkRepair() {
   prelink_repair_queued_.store(false);  // conflicts after this point re-queue
   TraceSpan trace("server.prelink_repair", "");
   PrelinkStats().repairs->Add();
-  std::vector<std::string> moved;
+  // A layout move is a namespace mutation: builds that placed against the
+  // old layout are not cached.
+  std::vector<std::string> evicted;
   {
-    std::lock_guard<std::mutex> lock(solver_mu_);
-    moved = solver_.SolveNamespace();
-  }
-  if (!moved.empty()) {
-    // Addresses in cached client replies moved; stub caches must refresh.
-    BumpNamespaceGeneration();
+    NamespaceMutation mutation(admin_mu_, namespace_generation_);
+    std::vector<std::string> moved;
+    {
+      std::lock_guard<std::mutex> lock(solver_mu_);
+      moved = solver_.SolveNamespace();
+    }
+    evicted = EvictStale({}, moved);
   }
   // Moved images re-link once here instead of on a client's critical path.
-  RelinkEvicted(EvictMovedImages(moved));
+  RelinkEvicted(evicted);
 }
 
-std::vector<std::string> OmosServer::EvictMovedImages(const std::vector<std::string>& moved) {
-  std::vector<std::string> evicted;
-  for (const std::string& key : moved) {
-    if (cache_.Contains(key)) {
-      cache_.Evict(key);
-      evicted.push_back(key);
-    }
-  }
-  // Images that linked against a moved library baked in its old addresses.
-  ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid across Evict
-  for (const std::string& moved_key : moved) {
-    for (const std::string& key : cache_.Keys()) {
-      const CachedImage* image = cache_.Peek(key);
-      if (image == nullptr) {
-        continue;
-      }
-      for (const LibDep& dep : image->deps) {
-        if (dep.cache_key == moved_key) {
-          cache_.Evict(key);
-          evicted.push_back(key);
-          break;
-        }
-      }
-    }
-  }
-  return evicted;
+std::vector<std::string> OmosServer::EvictStale(const std::vector<std::string>& paths,
+                                                const std::vector<std::string>& moved) {
+  std::set<std::string> moved_keys(moved.begin(), moved.end());
+  return cache_.EvictIf([&](const CachedImage& image) {
+    // Images that linked against a moved library baked in its old addresses.
+    return image.ReadsAny(paths) || moved_keys.count(image.key) != 0 ||
+           std::any_of(image.deps.begin(), image.deps.end(),
+                       [&](const LibDep& dep) { return moved_keys.count(dep.cache_key) != 0; });
+  });
 }
 
 void OmosServer::RelinkEvicted(const std::vector<std::string>& keys) {
@@ -2058,6 +2045,45 @@ Result<TaskId> OmosServer::ExecFile(const std::string& fs_path, std::vector<std:
 
 // ---- Lazy loading and monitoring hooks ---------------------------------------
 
+Result<std::pair<const CachedImage*, bool>> OmosServer::MapPinned(Task& task,
+                                                                  const std::string& key,
+                                                                  uint64_t* work) {
+  std::shared_ptr<const CachedImage> held;
+  {
+    std::lock_guard<std::mutex> lock(runtimes_mu_);
+    auto it = runtimes_.find(task.id());
+    if (it == runtimes_.end()) {
+      return Err(ErrorCode::kExecFault, StrCat(task.name(), ": no OMOS runtime state"));
+    }
+    auto mapped = it->second.mapped_libs.find(key);
+    if (mapped != it->second.mapped_libs.end()) {
+      return std::make_pair(mapped->second.get(), false);
+    }
+    auto lazy = it->second.lazy_libs.find(key);
+    if (lazy != it->second.lazy_libs.end()) {
+      held = std::move(lazy->second);
+      it->second.lazy_libs.erase(lazy);
+    }
+  }
+  ImageCache::ReadLease lease(cache_);  // pins the image until the task does
+  if (held == nullptr) {
+    OMOS_TRY(const CachedImage* image, GetOrRebuild(key, work));
+    held = image->shared_from_this();
+  }
+  const CachedImage* image = held.get();
+  {
+    std::lock_guard<std::mutex> lock(kernel_mu_);
+    OMOS_TRY_VOID(MapCachedImage(*kernel_, task, *image));
+  }
+  std::lock_guard<std::mutex> lock(runtimes_mu_);
+  auto it = runtimes_.find(task.id());
+  if (it == runtimes_.end()) {
+    return Err(ErrorCode::kExecFault, StrCat(task.name(), ": task released during dload"));
+  }
+  it->second.mapped_libs.emplace(key, std::move(held));
+  return std::make_pair(image, true);
+}
+
 Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
   uint32_t index = task.reg(12);
   TaskRuntime::Slot slot;
@@ -2069,25 +2095,14 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
     }
     slot = it->second.slots[index];
   }
-  ImageCache::ReadLease lease(cache_);  // pins *impl across the mapping below
   uint64_t rebuild_work = 0;
-  OMOS_TRY(const CachedImage* impl, GetOrRebuild(slot.lib_path, &rebuild_work));
+  OMOS_TRY(auto mapped, MapPinned(task, slot.lib_path, &rebuild_work));
+  const auto [impl, first_use] = mapped;
   task.BillSys(rebuild_work);
-  bool first_use = false;
-  {
-    std::lock_guard<std::mutex> lock(runtimes_mu_);
-    auto it = runtimes_.find(task.id());
-    if (it == runtimes_.end()) {
-      return Err(ErrorCode::kExecFault, StrCat(task.name(), ": task released during dload"));
-    }
-    first_use = it->second.mapped_libs.insert(slot.lib_path).second;
-  }
   if (first_use) {
     // First use in this task: the stub "contacts OMOS and loads in the
     // library" (§4.2) — one IPC round trip plus the mapping work.
     task.BillSys(kernel.costs().ipc_round_trip + kernel.costs().omos_cache_lookup);
-    std::lock_guard<std::mutex> lock(kernel_mu_);
-    OMOS_TRY_VOID(MapCachedImage(kernel, task, *impl));
   }
   // "the first time a function is accessed, its name is looked up in the
   // function hash table and the value stored in an indirect branch table" —
@@ -2105,20 +2120,7 @@ Result<void> OmosServer::HandleDload(Kernel& kernel, Task& task) {
       return Err(ErrorCode::kUnresolvedSymbol,
                  StrCat("symbol ", slot.symbol, " not in ", slot.lib_path));
     }
-    OMOS_TRY(const CachedImage* stubs, GetOrRebuild(degrade_key, &rebuild_work));
-    bool stubs_first_use = false;
-    {
-      std::lock_guard<std::mutex> lock(runtimes_mu_);
-      auto it = runtimes_.find(task.id());
-      if (it == runtimes_.end()) {
-        return Err(ErrorCode::kExecFault, StrCat(task.name(), ": task released during dload"));
-      }
-      stubs_first_use = it->second.mapped_libs.insert(degrade_key).second;
-    }
-    if (stubs_first_use) {
-      std::lock_guard<std::mutex> lock(kernel_mu_);
-      OMOS_TRY_VOID(MapCachedImage(kernel, task, *stubs));
-    }
+    OMOS_TRY_VOID(MapPinned(task, degrade_key, &rebuild_work));
     UpgradeStats().degraded_bindings->Add();
   }
   OMOS_TRY_VOID(task.space().Write32(slot.slot_addr, target));
@@ -2192,6 +2194,7 @@ bool OmosServer::HasPreferredOrder(const std::string& path) const {
 Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     Task& task, const std::string& blueprint_or_path, const std::vector<std::string>& symbols) {
   BuildTracker tracker;
+  tracker.stamp = BuildStamp();
   EvalValue value;
   if (StartsWith(blueprint_or_path, "(")) {
     OMOS_TRY(Sexpr expr, ParseSexpr(blueprint_or_path));
@@ -2250,7 +2253,8 @@ Result<OmosServer::DynLoadResult> OmosServer::DynamicLoad(
     OMOS_TRY_VOID(MaterializeSegments(ci));
     ci.build_cost = tracker.work;
     ci.layout_generation = placement.generation;
-    cached = cache_.Put(key, std::move(ci));
+    ci.inputs.assign(tracker.inputs.begin(), tracker.inputs.end());
+    cached = cache_.Put(key, std::move(ci), &namespace_generation_, tracker.stamp);
   }
   task.BillSys(tracker.work + kernel_->costs().omos_cache_lookup);
   {
@@ -2484,8 +2488,7 @@ std::string OmosServer::Snapshot() const {
 Result<void> OmosServer::Restore(std::string_view snapshot) {
   // Serialize against concurrent Define*/Restore; per-structure locks below
   // keep readers (Lookup, HasPreferredOrder) safe while we repopulate.
-  std::lock_guard<std::mutex> admin_lock(admin_mu_);
-  BumpNamespaceGeneration();
+  NamespaceMutation mutation(admin_mu_, namespace_generation_);
   // Integrity first: the trailing check line must hash everything before it.
   size_t check_at = snapshot.rfind("check ");
   if (check_at == std::string_view::npos || check_at == 0 || snapshot[check_at - 1] != '\n') {
@@ -2561,15 +2564,13 @@ Result<void> OmosServer::Restore(std::string_view snapshot) {
 int OmosServer::OptimizePlacements() {
   std::vector<std::string> evicted;
   {
-    std::lock_guard<std::mutex> admin_lock(admin_mu_);
-    // Cached client replies carry segment addresses; a re-pack moves them.
-    BumpNamespaceGeneration();
+    NamespaceMutation mutation(admin_mu_, namespace_generation_);
     std::vector<std::string> changed;
     {
       std::lock_guard<std::mutex> lock(solver_mu_);
       changed = solver_.OptimizePlacements();
     }
-    evicted = EvictMovedImages(changed);
+    evicted = EvictStale({}, changed);
   }
   // Outside admin_mu_ (the re-link re-enters Instantiate): re-link the
   // evicted images at the re-packed layout, so an administrative re-pack
@@ -2582,7 +2583,7 @@ int OmosServer::OptimizePlacements() {
 
 Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
   std::string program_key;
-  std::set<std::string> mapped_libs;
+  std::map<std::string, std::shared_ptr<const CachedImage>> mapped_libs;
   {
     std::lock_guard<std::mutex> lock(runtimes_mu_);
     auto it = runtimes_.find(id);
@@ -2594,21 +2595,22 @@ Result<std::vector<ImageSymbol>> OmosServer::SymbolsForTask(TaskId id) const {
   }
   ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid while we copy
   std::vector<ImageSymbol> symbols;
-  auto append = [&](const std::string& key) {
-    const CachedImage* image = cache_.Peek(key);
+  auto append = [&](const CachedImage* image) {
     if (image != nullptr) {
       symbols.insert(symbols.end(), image->image.symbols.begin(), image->image.symbols.end());
     }
   };
-  append(program_key);
   const CachedImage* program = cache_.Peek(program_key);
+  append(program);
   if (program != nullptr) {
     for (const LibDep& dep : program->deps) {
-      append(dep.cache_key);
+      if (mapped_libs.count(dep.cache_key) == 0) {
+        append(cache_.Peek(dep.cache_key));
+      }
     }
   }
-  for (const std::string& lib_key : mapped_libs) {
-    append(lib_key);
+  for (const auto& [key, image] : mapped_libs) {
+    append(image.get());
   }
   return symbols;
 }
@@ -2637,7 +2639,7 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
   std::string out;
   for (TaskId task_id : ids) {
     std::string program_key;
-    std::set<std::string> mapped_libs;
+    std::map<std::string, std::shared_ptr<const CachedImage>> mapped_libs;
     {
       std::lock_guard<std::mutex> lock(runtimes_mu_);
       auto it = runtimes_.find(task_id);
@@ -2657,19 +2659,17 @@ Result<std::string> OmosServer::ProfileForTask(TaskId id) const {
       const std::string* image;
     };
     ImageCache::ReadLease lease(cache_);  // keeps Peek pointers valid
-    std::set<std::string> keys{program_key};
-    const CachedImage* program = cache_.Peek(program_key);
-    if (program != nullptr) {
+    std::map<std::string, const CachedImage*> images{{program_key, cache_.Peek(program_key)}};
+    if (const CachedImage* program = images.begin()->second) {
       for (const LibDep& dep : program->deps) {
-        keys.insert(dep.cache_key);
+        images.emplace(dep.cache_key, cache_.Peek(dep.cache_key));
       }
     }
-    for (const std::string& lib_key : mapped_libs) {
-      keys.insert(lib_key);
+    for (const auto& [key, image] : mapped_libs) {
+      images[key] = image.get();
     }
     std::vector<Row> rows;
-    for (const std::string& image_key : keys) {
-      const CachedImage* image = cache_.Peek(image_key);
+    for (const auto& [image_key, image] : images) {
       if (image == nullptr) {
         continue;
       }
@@ -2804,8 +2804,8 @@ OmosReply OmosServer::HandleRequest(const OmosRequest& request) {
   requests->Add();
   auto start = std::chrono::steady_clock::now();
   OmosReply reply = HandleRequestImpl(request);
-  // Every reply piggybacks the namespace generation so client stub caches
-  // learn about redefinitions at their next server contact.
+  // Every reply piggybacks the namespace generation so clients learn about
+  // redefinitions at their next server contact.
   reply.generation = namespace_generation();
   request_ns->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -

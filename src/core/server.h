@@ -74,8 +74,8 @@ struct OmosServerConfig {
 // strict lock hierarchy (acquire downward only, release before recursing
 // into Instantiate):
 //
-//   admin_mu_    — serializes administrative writers (Define*, AddFragment,
-//                  Restore, OptimizePlacements) against each other
+//   admin_mu_    — serializes namespace mutations (Define*, AddFragment,
+//                  Restore, OptimizePlacements, prelink repair)
 //   monitor_mu_  — monitor_names_ / monitor_counts_ / preferred_order_
 //   solver_mu_   — every ConstraintSolver call
 //   upgrade_mu_  — the live-upgrade job (phase, pending tasks, plan)
@@ -103,8 +103,8 @@ class OmosServer {
   // ---- Namespace administration --------------------------------------------
   // Define or redefine a meta-object. Redefinition invalidates every cached
   // image built from the old blueprint ("a library fix is instantly
-  // incorporated into all clients", §2.1): the path's own images and any
-  // image that depends on them are evicted, and their address placements
+  // incorporated into all clients", §2.1): every image whose recorded
+  // inputs include the path is evicted, and its address placement
   // released, so the next instantiation rebuilds against the new version.
   Result<void> DefineMeta(std::string_view path, std::string_view blueprint);
   Result<void> DefineLibrary(std::string_view path, std::string_view blueprint);
@@ -153,7 +153,10 @@ class OmosServer {
   Result<int> ExportNamespaceToFs(std::string_view namespace_dir, std::string_view fs_dir);
 
   // Map a cached program image (plus its constrained library deps) into a
-  // task, registering lazy-stub state. Returns the entry address.
+  // task, pin its lazy deps and register lazy-stub state. Returns the entry
+  // address. Maps nothing and fails with kUnavailable when a dependency is
+  // no longer the version the program linked against (LibDep::Matches):
+  // the program is stale and must be instantiated again.
   Result<uint32_t> MapProgram(Task& task, const CachedImage& program);
 
   // Drop per-task runtime state (call when a task is destroyed).
@@ -304,10 +307,13 @@ class OmosServer {
     return exec_transport_.load(std::memory_order_relaxed);
   }
 
-  // Monotonic namespace generation: bumped by every mutation that can
-  // change what Instantiate returns (Define*, AddFragment/Archive,
-  // Restore, OptimizePlacements). Piggybacked on every IPC reply so
-  // client-side stub caches invalidate on redefinition.
+  // Monotonic namespace generation. Every mutation that can change what
+  // Instantiate returns (Define*, AddFragment/Archive, Restore, a layout
+  // move) advances it once before it updates the namespace and once after
+  // it has evicted what the update made stale, so it is odd while one is in
+  // progress. A cold build reads it before it evaluates and caches or
+  // publishes its image only if it has not moved since. Piggybacked on
+  // every IPC reply.
   uint64_t namespace_generation() const {
     return namespace_generation_.load(std::memory_order_acquire);
   }
@@ -347,6 +353,10 @@ class OmosServer {
   };
   struct BuildTracker {
     uint64_t work = 0;
+    // Namespace generation read before the build evaluated anything (see
+    // BuildStamp); the image is cached only if it still matches.
+    uint64_t stamp = 0;
+    std::set<std::string> inputs;  // becomes CachedImage::inputs
   };
   struct TaskRuntime {
     struct Slot {
@@ -362,7 +372,14 @@ class OmosServer {
     };
     std::string program_key;
     std::vector<Slot> slots;
-    std::set<std::string> mapped_libs;
+    // The lazy deps' images in the versions the program linked against,
+    // pinned at exec by cache key; the first call through a slot maps it.
+    std::map<std::string, std::shared_ptr<const CachedImage>> lazy_libs;
+    // Library images mapped into the task after exec (lazy impls, upgrade
+    // versions, degradation stubs), by cache key. The task pins the version
+    // it mapped: later lazy slots resolve in it, not by looking the key up
+    // again.
+    std::map<std::string, std::shared_ptr<const CachedImage>> mapped_libs;
     std::vector<DynRegion> dyn_loaded;
   };
 
@@ -385,7 +402,8 @@ class OmosServer {
   // prelink_lookup on a stamp-current hit (see PrelinkedExec).
   enum class ExecLookup { kCache, kPrelink };
   // The one exec body: lease → Instantiate → bill work + lookup →
-  // MapProgram into `task`. Returns the entry address.
+  // MapProgram into `task`. A program whose deps moved on is evicted and
+  // instantiated again, once. Returns the entry address.
   Result<uint32_t> LoadProgram(Task& task, const std::string& path, const Specialization& spec,
                                ExecLookup lookup);
   // Create a task named `name`, let `load` map a program into it, and start
@@ -410,16 +428,19 @@ class OmosServer {
   // Content fingerprint over everything that goes into the link: the path,
   // the spec string, and the transitive closure of blueprint texts and
   // object-file bytes reachable from the construction expression. Matching
-  // fingerprints ⇒ a stored image was linked from identical inputs.
-  Result<uint64_t> StoreFingerprint(const std::string& norm, const Specialization& spec) const;
+  // fingerprints ⇒ a stored image was linked from identical inputs. The
+  // closure's paths are added to `closure`.
+  uint64_t StoreFingerprint(const std::string& norm, const Specialization& spec,
+                            std::set<std::string>& closure) const;
   // Probe the store on a cache miss; on a hit, verify dependency placements,
   // re-reserve the stored bases, materialize segments and insert into the
-  // cache. nullptr on miss or any verification failure (caller cold-builds).
-  const CachedImage* TryAdoptFromStore(const std::string& norm, const Specialization& spec,
-                                       const std::string& key, BuildTracker& tracker);
-  // Publish a freshly built image; failures are counted, never fatal.
-  void PublishToStore(const std::string& norm, const Specialization& spec,
-                      const CachedImage& image, BuildTracker& tracker);
+  // cache (inputs: tracker.inputs, the fingerprint's closure). nullptr on
+  // miss or any verification failure (caller cold-builds).
+  const CachedImage* TryAdoptFromStore(const std::string& key, uint64_t fingerprint,
+                                       BuildTracker& tracker);
+  // Publish a freshly built image under the fingerprint computed before
+  // its build; failures are counted, never fatal.
+  void PublishToStore(uint64_t fingerprint, const CachedImage& image, BuildTracker& tracker);
 
   // Cache lookup that survives eviction and bit-rot: a missing or corrupted
   // entry is transparently rebuilt from its blueprint via the cache key
@@ -429,15 +450,34 @@ class OmosServer {
   // Charge linking work for an image build.
   void ChargeLinkWork(const LinkStats& stats, uint32_t symbol_count, BuildTracker& tracker) const;
 
-  // Evict cached images built from `path` (directly or via blueprint
-  // references and library dependencies) and release their placements.
-  void InvalidateImagesOf(std::string_view path);
-  // Evict the cached images of `moved` placements and of every image linked
-  // against one of them (placements are kept). Returns the evicted keys.
-  std::vector<std::string> EvictMovedImages(const std::vector<std::string>& moved);
+  // Run `update`, then evict every cached image that read one of `paths`,
+  // as one namespace mutation (see namespace_generation). Holds admin_mu_.
+  Result<void> Redefine(std::vector<std::string> paths, const std::function<Result<void>()>& update);
+  // The stamp a cold build starting now records: the generation, or 0
+  // (which never matches) while a mutation is in progress.
+  uint64_t BuildStamp() const {
+    uint64_t generation = namespace_generation();
+    return (generation & 1) != 0 ? 0 : generation;
+  }
+  // Redefinition of `paths` (sorted): evict every cached image whose
+  // recorded inputs include one of them (EvictStale), then release the
+  // victims' placements, stored records, optimizer state and decoded blocks.
+  void InvalidateImagesOf(const std::vector<std::string>& paths);
+  // The one staleness walk, for redefinitions and layout moves alike: evicts
+  // every cached image that read one of `paths` (sorted) or that sits at, or
+  // linked against, one of the `moved` placements. Placements are kept.
+  // Returns the evicted keys, sorted.
+  std::vector<std::string> EvictStale(const std::vector<std::string>& paths,
+                                      const std::vector<std::string>& moved);
   // Re-link `keys` at the current layout, counting prelink.relinks.
   void RelinkEvicted(const std::vector<std::string>& keys);
 
+  // The image `key` as `task` has it mapped: the version the task mapped
+  // earlier, or else the one it pinned at exec, or else the cached one; the
+  // latter two are mapped and pinned now. `.second` is true when this call
+  // mapped it.
+  Result<std::pair<const CachedImage*, bool>> MapPinned(Task& task, const std::string& key,
+                                                        uint64_t* work);
   Result<void> HandleDload(Kernel& kernel, Task& task);
   Result<void> HandleMonLog(Kernel& kernel, Task& task);
   Result<void> HandleOmosLoadSys(Kernel& kernel, Task& task);
@@ -450,9 +490,6 @@ class OmosServer {
   // pool (ParallelFor, caller participates); a bad member yields an
   // ok=false reply in its slot without touching the other N-1.
   std::vector<uint8_t> ServeBatch(const std::vector<uint8_t>& request_bytes);
-  void BumpNamespaceGeneration() {
-    namespace_generation_.fetch_add(1, std::memory_order_acq_rel);
-  }
 
   // Shared between the server and its queued background jobs, so a job that
   // outlives the server (still parked on the pool's background lane) sees
@@ -570,8 +607,8 @@ class OmosServer {
   std::atomic<bool> prelink_repair_queued_{false};
   std::atomic<bool> prelink_enabled_{false};
 
-  // See namespace_generation(); starts at 1 so "0" is always stale.
-  std::atomic<uint64_t> namespace_generation_{1};
+  // See namespace_generation(); starts at 2 so the stamp 0 never matches.
+  std::atomic<uint64_t> namespace_generation_{2};
   std::atomic<ExecTransport> exec_transport_{ExecTransport::kPort};
 };
 

@@ -7,22 +7,14 @@
 // is retried with capped exponential backoff, and the backoff wait is
 // billed in simulated cycles like any other cost.
 //
-// Two client-side optimizations ride on top of any transport:
-//
-//  * CallBatch — N requests marshalled into one frame, executed on the
-//    server's request pool, N replies back, ONE transport round trip
-//    billed. A failing member reply never poisons the other N-1.
-//  * Stub cache (EnableStubCache) — successful Instantiate replies are
-//    memoized by (path, specialization, task) so a repeat Instantiate is
-//    answered locally with zero server round trips. Every server reply
-//    piggybacks the namespace generation; a bumped generation (any
-//    redefinition) invalidates stale entries at the next server contact,
-//    so redefinition still takes effect on the next call.
+// CallBatch rides on top of any transport: N requests marshalled into one
+// frame, executed on the server's request pool, N replies back, ONE
+// transport round trip billed. A failing member reply never poisons the
+// other N-1.
 #ifndef OMOS_SRC_IPC_CHANNEL_H_
 #define OMOS_SRC_IPC_CHANNEL_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,10 +57,6 @@ class Channel {
   void set_retry_policy(RetryPolicy policy) { retry_ = policy; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
-  // Memoize successful Instantiate replies client-side (see file comment).
-  // `max_entries` bounds the cache; 0 disables it again.
-  void EnableStubCache(size_t max_entries = 256);
-
   // Adaptive transport demotion: after `threshold` consecutive kCorrupted
   // round trips the channel swaps to `fallback` (typically a plain stream
   // when the shared-memory ring's checksums keep failing — slower, but not
@@ -94,44 +82,24 @@ class Channel {
   // Deliver `requests` as ONE frame and bill one transport round trip; the
   // reply vector is parallel to `requests`. Per-request failures come back
   // as ok=false member replies; only a transport/framing failure (after
-  // retries, which resend the whole batch) fails the call. Stub-cache hits
-  // are answered locally and trimmed from the wire frame — a fully cached
-  // batch makes no round trip at all.
+  // retries, which resend the whole batch) fails the call.
   Result<std::vector<OmosReply>> CallBatch(const std::vector<OmosRequest>& requests, Task* task);
 
   uint64_t cycles_billed() const { return cycles_billed_; }
-  // Frames that reached the transport (stub-cache hits make none).
+  // Frames that reached the transport.
   uint64_t calls_made() const { return calls_made_; }
   uint64_t retries_made() const { return retries_made_; }
   uint64_t backoff_cycles_billed() const { return backoff_cycles_billed_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t bytes_received() const { return bytes_received_; }
-  uint64_t stub_hits() const { return stub_hits_; }
-  // Newest namespace generation observed on any reply.
-  uint64_t observed_generation() const { return observed_generation_; }
 
  private:
-  struct StubEntry {
-    OmosReply reply;
-    uint64_t generation = 0;
-  };
-
   // The retry loop shared by Call and CallBatch: deliver `wire`, let
   // `decode` validate/consume the reply bytes (a reply that unmarshals
   // wrong is as retryable as a damaged frame), bill `task` or the local
   // counter either way and attribute the cycles to `trace`.
   Result<void> ExchangeWithRetry(const std::vector<uint8_t>& wire, Task* task, TraceSpan& trace,
                                  const std::function<Result<void>(const std::vector<uint8_t>&)>& decode);
-
-  static bool Cacheable(const OmosRequest& request) {
-    return request.op == OmosOp::kInstantiate;
-  }
-  static std::string StubKey(const OmosRequest& request);
-  // Fold a reply's piggybacked generation into the cache: a newer
-  // generation drops every entry cached under an older one.
-  void ObserveGeneration(uint64_t generation);
-  const OmosReply* StubLookup(const OmosRequest& request);
-  void StubInsert(const OmosRequest& request, const OmosReply& reply);
 
   std::unique_ptr<Transport> transport_;
   std::unique_ptr<Transport> fallback_;  // holds the demoted transport after a swap
@@ -150,11 +118,6 @@ class Channel {
   uint64_t backoff_cycles_billed_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t bytes_received_ = 0;
-  uint64_t stub_hits_ = 0;
-
-  size_t stub_capacity_ = 0;  // 0 = stub cache disabled
-  uint64_t observed_generation_ = 0;
-  std::map<std::string, StubEntry> stub_cache_;
 };
 
 }  // namespace omos

@@ -68,9 +68,9 @@ struct OmosReply {
   std::string payload;
   std::vector<std::pair<std::string, uint64_t>> metrics;
   // The server's namespace generation, piggybacked on every reply (success
-  // or failure). Bumped by any namespace mutation (DefineMeta, AddFragment,
-  // OptimizePlacements, Restore, ...); clients key cached replies on it so
-  // a redefinition invalidates their stub caches on the next contact.
+  // or failure). Advanced by any namespace mutation (DefineMeta,
+  // AddFragment, OptimizePlacements, Restore, ...), so a client can tell
+  // that a redefinition happened since its last contact.
   uint64_t generation = 0;
 };
 

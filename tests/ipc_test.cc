@@ -653,90 +653,6 @@ TEST(Channel, BatchSurvivesSeededFaultSweep) {
   }
 }
 
-// ---- Stub cache ---------------------------------------------------------------
-
-constexpr const char* kThingBlueprint =
-    "(merge (source \"asm\" \".text\\n.global _start\\n_start:\\n  sys 0\\n\"))";
-
-TEST(Channel, StubCacheWarmRepeatMakesZeroRoundTrips) {
-  Kernel kernel;
-  OmosServer server(kernel);
-  ASSERT_OK(server.DefineMeta("/bin/thing", kThingBlueprint));
-  Task& task = kernel.CreateTask("client");
-  Channel channel = server.MakeChannel(OmosServer::ExecTransport::kRing);
-  channel.EnableStubCache();
-  OmosRequest request;
-  request.op = OmosOp::kInstantiate;
-  request.path = "/bin/thing";
-  request.specialization = Specialization().ToKeyString();
-  request.task_handle = task.id();
-  ASSERT_OK_AND_ASSIGN(OmosReply cold, channel.Call(request, nullptr));
-  ASSERT_TRUE(cold.ok);
-  EXPECT_EQ(channel.calls_made(), 1u);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_OK_AND_ASSIGN(OmosReply warm, channel.Call(request, nullptr));
-    ASSERT_TRUE(warm.ok);
-    EXPECT_EQ(warm.entry, cold.entry);
-  }
-  EXPECT_EQ(channel.calls_made(), 1u);  // warm repeats never hit the wire
-  EXPECT_EQ(channel.stub_hits(), 5u);
-}
-
-TEST(Channel, RedefinitionInvalidatesStubCache) {
-  Kernel kernel;
-  OmosServer server(kernel);
-  ASSERT_OK(server.DefineMeta("/bin/thing", kThingBlueprint));
-  Task& task = kernel.CreateTask("client");
-  Channel channel = server.MakeChannel(OmosServer::ExecTransport::kRing);
-  channel.EnableStubCache();
-  OmosRequest request;
-  request.op = OmosOp::kInstantiate;
-  request.path = "/bin/thing";
-  request.specialization = Specialization().ToKeyString();
-  request.task_handle = task.id();
-  ASSERT_OK_AND_ASSIGN(OmosReply first, channel.Call(request, nullptr));
-  ASSERT_TRUE(first.ok);
-  uint64_t old_generation = channel.observed_generation();
-  // Sanity: right now the entry is warm and repeats are served locally.
-  ASSERT_OK(channel.Call(request, nullptr));
-  EXPECT_EQ(channel.stub_hits(), 1u);
-
-  // Redefine on the server: the namespace generation bumps, and the next
-  // server contact on this channel carries it back and purges the cache.
-  ASSERT_OK(server.DefineMeta("/bin/thing", kThingBlueprint));
-  OmosRequest ping;
-  ping.op = OmosOp::kListNamespace;
-  ping.path = "/bin";
-  ASSERT_OK(channel.Call(ping, nullptr));
-  EXPECT_GT(channel.observed_generation(), old_generation);
-
-  // The stale entry is gone: the repeat goes all the way to the server
-  // (which answers authoritatively for the redefined object) instead of
-  // being served from the cache.
-  uint64_t calls_before = channel.calls_made();
-  uint64_t hits_before = channel.stub_hits();
-  ASSERT_OK(channel.Call(request, nullptr));
-  EXPECT_EQ(channel.calls_made(), calls_before + 1);  // wire round trip
-  EXPECT_EQ(channel.stub_hits(), hits_before);        // not a cache answer
-}
-
-TEST(Channel, StubCacheMissesWhenDisabled) {
-  Kernel kernel;
-  OmosServer server(kernel);
-  ASSERT_OK(server.DefineMeta("/bin/thing", kThingBlueprint));
-  Task& task = kernel.CreateTask("client");
-  Channel channel = server.MakeChannel();
-  OmosRequest request;
-  request.op = OmosOp::kInstantiate;
-  request.path = "/bin/thing";
-  request.specialization = Specialization().ToKeyString();
-  request.task_handle = task.id();
-  ASSERT_OK(channel.Call(request, nullptr));
-  ASSERT_OK(channel.Call(request, nullptr));
-  EXPECT_EQ(channel.calls_made(), 2u);  // no cache armed: every call pays
-  EXPECT_EQ(channel.stub_hits(), 0u);
-}
-
 TEST(Transport, OmosServerReachableOverStreamTransport) {
   Kernel kernel;
   OmosServer server(kernel);

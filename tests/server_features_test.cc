@@ -2,11 +2,15 @@
 // (kSysOmosLoad/kSysOmosUnload), the initializers operator, override
 // blueprints, cache eviction recovery, constraint conflicts between
 // libraries, and IPC-driven administration.
+#include <atomic>
 #include <functional>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "src/core/server.h"
+#include "src/os/sim_fs.h"
+#include "src/store/image_store.h"
 #include "src/support/faultsim.h"
 #include "src/support/metrics.h"
 #include "src/support/strings.h"
@@ -15,18 +19,22 @@
 namespace omos {
 namespace {
 
-class ServerFeatures : public ::testing::Test {
- protected:
-  void SetUp() override {
-    server_ = std::make_unique<OmosServer>(kernel_);
-    ASSERT_OK_AND_ASSIGN(ObjectFile crt0, Assemble(R"(
+Result<void> AddCrt0(OmosServer& server) {
+  OMOS_TRY(ObjectFile crt0, Assemble(R"(
 .text
 .global _start
 _start:
   call main
   sys 0
 )", "crt0.o"));
-    ASSERT_OK(server_->AddFragment("/lib/crt0.o", std::move(crt0)));
+  return server.AddFragment("/lib/crt0.o", std::move(crt0));
+}
+
+class ServerFeatures : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    server_ = std::make_unique<OmosServer>(kernel_);
+    ASSERT_OK(AddCrt0(*server_));
   }
 
   Result<RunOutcome> Run(TaskId id) {
@@ -1005,6 +1013,247 @@ TEST_F(ServerFeatures, FailedExecReleasesTaskAndFrames) {
       EXPECT_EQ(kernel_.phys().frames_in_use(), baseline) << name << " " << path;
     }
   }
+}
+
+// ---- Staleness: every image records the namespace paths its build read -----
+
+TEST_F(ServerFeatures, FragmentUnderNestedMetaRedefinitionReachesExec) {
+  auto define_f = [&](int value) -> Result<void> {
+    OMOS_TRY(ObjectFile f, Assemble(StrCat(".text\n.global main\nmain:\n  movi r0, ", value,
+                                           "\n  ret\n"),
+                                    "f.o"));
+    return server_->AddFragment("/obj/f.o", std::move(f));
+  };
+  ASSERT_OK(define_f(10));
+  ASSERT_OK(server_->DefineMeta("/meta/inner", "(merge /obj/f.o)"));
+  ASSERT_OK(server_->DefineMeta("/bin/outer", "(merge /lib/crt0.o /meta/inner)"));
+  ASSERT_OK_AND_ASSIGN(TaskId first, server_->IntegratedExec("/bin/outer", {"outer"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome before, Run(first));
+  EXPECT_EQ(before.exit_code, 10);
+
+  // /bin/outer's blueprint never names /obj/f.o; only the recorded inputs
+  // of its image tie the two together.
+  ASSERT_OK(define_f(20));
+  ASSERT_OK_AND_ASSIGN(TaskId second, server_->IntegratedExec("/bin/outer", {"outer"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome after, Run(second));
+  EXPECT_EQ(after.exit_code, 20);
+}
+
+TEST_F(ServerFeatures, LazySlotResolvesInTheVersionTheTaskMapped) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile two, Assemble(R"(
+.text
+.global f1
+f1:
+  movi r0, 3
+  ret
+.global f2
+f2:
+  movi r0, 4
+  ret
+)", "two.o"));
+  ASSERT_OK(server_->AddFragment("/obj/two.o", std::move(two)));
+  ASSERT_OK(server_->DefineLibrary("/lib/two", "(merge /obj/two.o)"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(R"(
+.text
+.global main
+main:
+  push lr
+  call f1
+  mov r4, r0
+  movi r5, 100
+  movi r6, 0
+spin:
+  addi r5, r5, -1
+  bne r5, r6, spin
+  call f2
+  add r0, r0, r4
+  pop lr
+  ret
+)", "main.o"));
+  ASSERT_OK(server_->AddFragment("/obj/main.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/dyn", "(merge /lib/crt0.o /obj/main.o"
+                                            " (specialize \"lib-dynamic\" /lib/two))"));
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/dyn", {"dyn"}));
+  Task* task = kernel_.FindTask(id);
+  ASSERT_NE(task, nullptr);
+  // Budget exhaustion pauses the task in the spin loop: f1's slot is bound
+  // and the library is mapped, f2's slot is not bound yet.
+  ASSERT_FALSE(kernel_.RunTask(*task, 60).ok());
+  ASSERT_EQ(task->state(), TaskState::kRunnable);
+
+  // The redefinition moves the library; the running task must keep calling
+  // the version it mapped.
+  ASSERT_OK(server_->DefineLibrary("/lib/two",
+                                   "(constraint-list \"T\" 0x3800000)\n(merge /obj/two.o)"));
+  ASSERT_OK(kernel_.RunTask(*task));
+  EXPECT_EQ(task->exit_code(), 7);
+
+  // A new exec binds the moved version.
+  ASSERT_OK_AND_ASSIGN(TaskId fresh, server_->IntegratedExec("/bin/dyn", {"dyn"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(fresh));
+  EXPECT_EQ(out.exit_code, 7);
+}
+
+TEST_F(ServerFeatures, MapProgramNeverMapsAMovedLibraryUnderAnOldProgram) {
+  ASSERT_OK_AND_ASSIGN(ObjectFile lib,
+                       Assemble(".text\n.global lib_fn\nlib_fn:\n  movi r0, 42\n  ret\n", "lib.o"));
+  ASSERT_OK(server_->AddFragment("/obj/lib.o", std::move(lib)));
+  ASSERT_OK(server_->DefineLibrary("/lib/base",
+                                   "(constraint-list \"T\" 0x3000000)\n(merge /obj/lib.o)"));
+  ASSERT_OK_AND_ASSIGN(ObjectFile main_obj, Assemble(R"(
+.text
+.global main
+main:
+  push lr
+  call lib_fn
+  pop lr
+  ret
+)", "m.o"));
+  ASSERT_OK(server_->AddFragment("/obj/m.o", std::move(main_obj)));
+  ASSERT_OK(server_->DefineMeta("/bin/tool", "(merge /lib/crt0.o /obj/m.o /lib/base)"));
+
+  ImageCache::ReadLease lease(server_->cache());  // keeps the old program valid
+  ASSERT_OK_AND_ASSIGN(const CachedImage* program,
+                       server_->Instantiate("/bin/tool", Specialization{}, nullptr));
+  ASSERT_OK(server_->DefineLibrary("/lib/base",
+                                   "(constraint-list \"T\" 0x3800000)\n(merge /obj/lib.o)"));
+  Task& task = kernel_.CreateTask("tool");
+  size_t regions_before = task.space().Regions().size();
+  Result<uint32_t> mapped = server_->MapProgram(task, *program);
+  ASSERT_FALSE(mapped.ok()) << "an old program was mapped with the moved library";
+  EXPECT_EQ(mapped.error().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(task.space().Regions().size(), regions_before);
+  kernel_.DestroyTask(task.id());
+
+  // The exec path relinks the program against the moved library.
+  ASSERT_OK_AND_ASSIGN(TaskId id, server_->IntegratedExec("/bin/tool", {"tool"}));
+  ASSERT_OK_AND_ASSIGN(RunOutcome out, Run(id));
+  EXPECT_EQ(out.exit_code, 42);
+}
+
+// A cold build that overlaps a DefineLibrary reads the old version; it must
+// never be cached or published. Each round empties the cache, then starts
+// a build and a redefinition together and execs: the exit code must be the
+// version just defined. The two versions lay `ver` out at different
+// addresses, so a program linked against the other one fails too.
+class BuildRacingDefine {
+ public:
+  static Result<std::unique_ptr<OmosServer>> MakeServer(Kernel& kernel) {
+    auto server = std::make_unique<OmosServer>(kernel);
+    OMOS_TRY_VOID(AddCrt0(*server));
+    OMOS_TRY(ObjectFile v0, Assemble(".text\n.global ver\nver:\n  movi r0, 1\n  ret\n", "v0.o"));
+    OMOS_TRY(ObjectFile v1, Assemble(".text\npad:\n  ret\n.global ver\nver:\n  movi r0, 2\n  ret\n",
+                                     "v1.o"));
+    OMOS_TRY_VOID(server->AddFragment("/obj/v0.o", std::move(v0)));
+    OMOS_TRY_VOID(server->AddFragment("/obj/v1.o", std::move(v1)));
+    OMOS_TRY_VOID(server->DefineLibrary("/lib/ver", Blueprint(0)));
+    OMOS_TRY(ObjectFile main_obj, Assemble(R"(
+.text
+.global main
+main:
+  push lr
+  call ver
+  pop lr
+  ret
+)", "main.o"));
+    OMOS_TRY_VOID(server->AddFragment("/obj/main.o", std::move(main_obj)));
+    OMOS_TRY_VOID(server->DefineMeta("/bin/prog", "(merge /lib/crt0.o /obj/main.o /lib/ver)"));
+    return server;
+  }
+
+  // Each round's blueprint text is new, so its store fingerprint is too:
+  // no build adopts an earlier round's record, every one links cold.
+  static std::string Blueprint(int round) {
+    return StrCat("; round ", round, "\n(merge /obj/v", round % 2, ".o)");
+  }
+  static int Expected(int round) { return round % 2 + 1; }
+
+  static Result<int> Exec(Kernel& kernel, OmosServer& server) {
+    OMOS_TRY(TaskId id, server.IntegratedExec("/bin/prog", {"prog"}));
+    Result<void> ran = kernel.RunTask(*kernel.FindTask(id));
+    int exit_code = kernel.FindTask(id)->exit_code();
+    server.ReleaseTask(id);
+    kernel.DestroyTask(id);
+    OMOS_TRY_VOID(ran);
+    return exit_code;
+  }
+
+  // The build and the redefinition each start after their own delay, and
+  // the rounds sweep both, so they overlap in every way over a run.
+  static void Delay(int yields) {
+    for (int i = 0; i < yields; ++i) {
+      std::this_thread::yield();
+    }
+  }
+
+  // Runs `rounds` rounds; returns how many execs did not see the version
+  // their round defined.
+  static int StaleExecs(Kernel& kernel, OmosServer& server, int rounds) {
+    std::atomic<int> go{0};
+    std::atomic<int> built{0};
+    std::thread builder([&] {
+      for (int round = 1; round <= rounds; ++round) {
+        while (go.load(std::memory_order_acquire) < round) {
+          std::this_thread::yield();
+        }
+        Delay(round % 16);
+        (void)server.Instantiate("/bin/prog", Specialization{}, nullptr);
+        built.store(round, std::memory_order_release);
+      }
+    });
+    Specialization lib_spec;
+    lib_spec.name = "lib-constrained";
+    int stale = 0;
+    for (int round = 1; round <= rounds; ++round) {
+      for (const std::string& key : {MakeCacheKey("/bin/prog", Specialization{}.ToKeyString()),
+                                     MakeCacheKey("/lib/ver", lib_spec.ToKeyString())}) {
+        server.cache().Evict(key);
+      }
+      go.store(round, std::memory_order_release);
+      Delay(round / 16 % 16);
+      Result<void> defined = server.DefineLibrary("/lib/ver", Blueprint(round));
+      while (built.load(std::memory_order_acquire) < round) {
+        std::this_thread::yield();
+      }
+      Result<int> exit_code = Exec(kernel, server);
+      if (!defined.ok() || !exit_code.ok() || *exit_code != Expected(round)) {
+        ++stale;
+      }
+    }
+    builder.join();
+    return stale;
+  }
+};
+
+TEST(ServerStaleness, BuildRacingDefineLibraryNeverCachesTheOldVersion) {
+  Kernel kernel;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<OmosServer> server, BuildRacingDefine::MakeServer(kernel));
+  EXPECT_EQ(BuildRacingDefine::StaleExecs(kernel, *server, 20000), 0);
+}
+
+// The same race with a store attached: a build that read the old version
+// must not publish it, so a server restarted from the store execs the
+// version defined last.
+TEST(ServerStaleness, BuildRacingDefineLibraryNeverPublishesTheOldVersion) {
+  constexpr int kRounds = 1000;
+  SimFs disk;
+  {
+    Kernel kernel;
+    ImageStore store(disk, "/store", &kernel.costs());
+    ASSERT_OK(store.Open());
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<OmosServer> server,
+                         BuildRacingDefine::MakeServer(kernel));
+    server->AttachStore(&store);
+    EXPECT_EQ(BuildRacingDefine::StaleExecs(kernel, *server, kRounds), 0);
+    ASSERT_OK(server->PersistTo(store));
+  }
+  Kernel kernel;
+  ImageStore store(disk, "/store", &kernel.costs());
+  ASSERT_OK(store.Open());
+  OmosServer restarted(kernel);
+  ASSERT_OK(restarted.RestoreFromStore(store));
+  ASSERT_OK_AND_ASSIGN(int exit_code, BuildRacingDefine::Exec(kernel, restarted));
+  EXPECT_EQ(exit_code, BuildRacingDefine::Expected(kRounds));
 }
 
 }  // namespace
